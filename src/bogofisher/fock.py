@@ -197,13 +197,6 @@ class StateVector:
     def max_occupation(self) -> int:
         return max((max(occ) for occ in self._amp), default=0)
 
-    def boundary_weight(self, depth: int = 2) -> float:
-        """Squared weight on basis states within ``depth`` levels of the cutoff."""
-        floor = self.layout.cutoff - depth + 1
-        return math.fsum(
-            abs(c) ** 2 for occ, c in self.items() if any(n >= floor for n in occ)
-        )
-
     def to_dense(self) -> np.ndarray:
         vec = np.zeros(self.layout.basis_size, dtype=np.complex128)
         for occ, c in self._amp.items():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse
 
 from bogofisher import (
     BogoliubovFirstOrder,
@@ -23,20 +24,19 @@ from bogofisher import (
 )
 
 
-def dense_ladders(mode_count: int, cutoff: int) -> list[np.ndarray]:
+def dense_ladders(mode_count: int, cutoff: int) -> list[scipy.sparse.csr_matrix]:
+    """Truncated annihilation operators as Kronecker products of single-mode ladders."""
     dim = cutoff + 1
-    single = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        single[n - 1, n] = math.sqrt(n)
-    eye = np.eye(dim)
+    single = scipy.sparse.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csr")
+    eye = scipy.sparse.identity(dim, format="csr")
     ops = []
     for m in range(mode_count):
         mats = [eye] * mode_count
         mats[m] = single
         out = mats[0]
         for x in mats[1:]:
-            out = np.kron(out, x)
-        ops.append(out)
+            out = scipy.sparse.kron(out, x, format="csr")
+        ops.append(out.astype(complex))
     return ops
 
 
@@ -44,7 +44,7 @@ def dense_generator_matrix(gen: GeneratorK, layout: ModeLayout) -> np.ndarray:
     """Dense realization of a GeneratorK on the truncated basis."""
     ladders = dense_ladders(layout.mode_count, layout.cutoff)
     dim = layout.basis_size
-    K = np.zeros((dim, dim), dtype=complex)
+    K = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
     for m in range(gen.mode_count):
         for n in range(gen.mode_count):
             if gen.number[m, n] != 0:
@@ -53,7 +53,20 @@ def dense_generator_matrix(gen: GeneratorK, layout: ModeLayout) -> np.ndarray:
             if c != 0:
                 K += 0.5 * c * ladders[m].conj().T @ ladders[n].conj().T
                 K -= 0.5 * np.conj(c) * ladders[m] @ ladders[n]
-    return K
+    return K.toarray()
+
+
+def dense_hamiltonian_matrix(gen: GeneratorSpec, layout: ModeLayout) -> np.ndarray:
+    """Dense H from normal-ordered products of the truncated ladders (= P H P)."""
+    ladders = dense_ladders(layout.mode_count, layout.cutoff)
+    dim = layout.basis_size
+    H = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
+    for m in range(gen.mode_count):
+        for n in range(gen.mode_count):
+            H += gen.h[m, n] * ladders[m].conj().T @ ladders[n]
+            create = 0.5 * gen.g[m, n] * ladders[m].conj().T @ ladders[n].conj().T
+            H += create + create.conj().T
+    return H.toarray()
 
 
 def random_generator(rng: np.random.Generator, modes: int, scale: float) -> GeneratorSpec:

@@ -21,18 +21,22 @@ from bogofisher import (
     extract_bogoliubov,
     extract_first_order,
     generator_from_model,
+    hamiltonian,
     independent_squeezers_generator,
     qfi_fidelity_mixed,
     qfi_fidelity_pure,
+    qfi_pure,
+    qfi_reduced,
     single_mode_squeezer,
     squeezer_generator,
+    transform_first_order,
     two_mode_squeezer,
     two_mode_squeezer_generator,
     uhlmann_fidelity,
     validate,
 )
 
-from helpers import random_generator, state_distance
+from helpers import dense_hamiltonian_matrix, random_generator, random_state, state_distance
 
 
 def test_exact_unitary_at_zero_is_identity():
@@ -41,6 +45,22 @@ def test_exact_unitary_at_zero_is_identity():
     u = exact_unitary(gen, 0.0, layout)
     assert np.allclose(u.matrix, np.eye(layout.basis_size), atol=1e-14)
     assert u.unitarity_residual < 1e-12
+
+
+def test_hamiltonian_matches_kron_ladders():
+    rng = np.random.default_rng(55)
+    for modes, cutoff in ((1, 10), (2, 7), (3, 5)):
+        layout = ModeLayout(modes, cutoff)
+        for _ in range(3):
+            gen = random_generator(rng, modes, 0.7)
+            H = hamiltonian(gen, layout).toarray()
+            assert np.max(np.abs(H - dense_hamiltonian_matrix(gen, layout))) < 1e-12
+
+
+def test_exact_unitary_dense_budget():
+    gen = squeezer_generator(0, 2)
+    with pytest.raises(BudgetError):
+        exact_unitary(gen, 0.1, ModeLayout(2, 99))
 
 
 def test_exact_unitary_group_property():
@@ -138,6 +158,28 @@ def test_qfi_fidelity_pure_two_mode_11():
         StateVector.from_occupation(ModeLayout(2, 9), [1, 1]),
     )
     assert est.value == pytest.approx(20.0, abs=1e-5)
+
+
+def test_qfi_fidelity_pure_four_modes_matches_first_order():
+    rng = np.random.default_rng(56)
+    gen = random_generator(rng, 4, 0.4)
+    state = StateVector.from_occupation(ModeLayout(4, 7), [1, 1, 0, 0])
+    first_order = qfi_pure(transform_first_order(extract_first_order(gen), state))
+    assert qfi_fidelity_pure(gen, state).value == pytest.approx(first_order, abs=1e-5)
+
+
+def test_qfi_fidelity_mixed_matches_reduced_on_superpositions():
+    rng = np.random.default_rng(11)
+    layout = ModeLayout(3, 8)
+    keep = ModeSubset.of([0, 1])
+    for _ in range(8):
+        gen = random_generator(rng, 3, 0.4)
+        state = random_state(
+            rng, layout, modes=[0, 1], terms=int(rng.integers(1, 4)), max_occ=2
+        )
+        mixed = qfi_fidelity_mixed(gen, state, keep)
+        reduced = qfi_reduced(extract_first_order(gen), state, keep)
+        assert abs(mixed.value - reduced.qfi) <= 1e-6
 
 
 def test_qfi_fidelity_mixed_keep_all_matches_pure():

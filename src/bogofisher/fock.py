@@ -234,7 +234,8 @@ class DensityOperator:
         if state.layout != self.layout:
             raise ValueError("layout mismatch")
         v = state.to_dense()
-        return complex(v.conj() @ self.matrix @ v)
+        # Not a BLAS gemv: from dimension 81 up it wakes BLAS threads that spin.
+        return complex(np.vdot(v, np.einsum("ij,j->i", self.matrix, v)))
 
 
 def create(state: StateVector, mode: int) -> StateVector:

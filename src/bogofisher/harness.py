@@ -58,13 +58,13 @@ class ScanRow:
 
 
 def worker_count(explicit: int | None = None) -> int:
-    """Worker pool size; the BOGOFISHER_THREADS env var caps it."""
+    """Scan threads: ``explicit``, else BOGOFISHER_THREADS, else 1 (GIL-bound)."""
     if explicit is not None:
         return max(1, int(explicit))
     env = os.environ.get("BOGOFISHER_THREADS")
     if env:
         return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    return 1
 
 
 def scan_fock(
@@ -139,9 +139,11 @@ def scan_fock(
             oracle_err=estimate.error,
         )
 
-    with ThreadPoolExecutor(max_workers=worker_count(threads)) as pool:
-        rows = list(pool.map(evaluate, points))
-    return rows
+    workers = worker_count(threads)
+    if workers == 1:
+        return [evaluate(point) for point in points]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(evaluate, points))
 
 
 def rows_to_csv(rows: Iterable[ScanRow]) -> str:

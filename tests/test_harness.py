@@ -23,6 +23,7 @@ from bogofisher import (
     two_mode_squeezer,
     vacuum_qfi,
 )
+from bogofisher.harness import worker_count
 
 
 def test_scan_single_mode_squeezer_values():
@@ -91,6 +92,14 @@ def test_csv_stable_across_thread_counts():
     one = rows_to_csv(scan_fock(model, 0, range(0, 5), threads=1))
     four = rows_to_csv(scan_fock(model, 0, range(0, 5), threads=4))
     assert one == four
+
+
+def test_scan_threads_default_and_env(monkeypatch):
+    monkeypatch.delenv("BOGOFISHER_THREADS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("BOGOFISHER_THREADS", "3")
+    assert worker_count() == 3
+    assert worker_count(2) == 2
 
 
 def test_fit_scaling_quadratic_family():

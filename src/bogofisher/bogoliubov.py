@@ -91,9 +91,7 @@ class ValidationReport:
             return "all unitarity constraints satisfied"
         parts = []
         for cid in sorted(self.worst):
-            if self.worst[cid] > 0.0 and any(
-                v.constraint == cid for v in self.violations
-            ):
+            if any(v.constraint == cid for v in self.violations):
                 parts.append(f"{_CONSTRAINT_MESSAGES[cid]} (worst {self.worst[cid]:.3e})")
         return "; ".join(parts)
 
@@ -110,7 +108,8 @@ def validate(model: BogoliubovFirstOrder, tol: float = VALIDATION_TOL) -> Valida
 
     phase_res = np.abs(np.abs(model.G) - 1.0)
     worst["phase_modulus"] = float(phase_res.max())
-    for n in np.flatnonzero(phase_res > PHASE_TOL):
+    # Written as "not <=" so that NaN residuals (from NaN or Inf data) violate.
+    for n in np.flatnonzero(~(phase_res <= PHASE_TOL)):
         violations.append(
             ConstraintViolation("phase_modulus", (int(n),), float(phase_res[n]))
         )
@@ -122,7 +121,7 @@ def validate(model: BogoliubovFirstOrder, tol: float = VALIDATION_TOL) -> Valida
     beta_res = np.abs(beta_scaled - beta_scaled.T)
     worst["beta_symmetry"] = float(beta_res.max())
     for name, res in (("alpha_unitarity", alpha_res), ("beta_symmetry", beta_res)):
-        for m, n in zip(*np.nonzero(res > tol)):
+        for m, n in zip(*np.nonzero(~(res <= tol))):
             violations.append(
                 ConstraintViolation(name, (int(m), int(n)), float(res[m, n]))
             )

@@ -9,6 +9,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -41,7 +42,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI parser, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(prog="bogofisher", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

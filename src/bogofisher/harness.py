@@ -13,7 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import brentq, least_squares, minimize
@@ -25,6 +25,8 @@ from .oracle import generator_from_model, qfi_fidelity_pure
 from .perturb import transform_first_order, validity_check
 from .qfi import (
     DEFAULT_THETA,
+    _clamp_nonnegative,
+    _complement_reference,
     overlap_penalty,
     qfi_fock_closed,
     qfi_pure,
@@ -314,9 +316,12 @@ def optimize_state(
     Derivative-free Nelder-Mead over the real and imaginary amplitude
     coordinates; every objective evaluation first projects onto the
     normalization and mean-occupation constraints (an exponential tilt
-    of the weights solved by bracketing).  Deterministic for a fixed
-    seed: restarts are seeded individually and the winner is chosen by
-    score, then lexicographically smallest amplitudes.
+    of the weights solved by bracketing).  The objective is compiled
+    once per support (see :func:`_support_score`); the score reported
+    for each restart is recomputed on the first-order route.
+    Deterministic for a fixed seed: restarts are seeded individually and
+    the winner is chosen by score, then lexicographically smallest
+    amplitudes.
     """
     support_t = tuple(tuple(int(x) for x in occ) for occ in support)
     if not support_t:
@@ -356,11 +361,13 @@ def optimize_state(
             value -= tracing_loss(model, state, keep)
         return value
 
+    compiled = _support_score(model, layout, support_t, keep)
+
     def objective(x: np.ndarray) -> float:
         c = project(x)
         if c is None:
             return 1e9
-        return -score(c)
+        return -compiled(c)
 
     rng = np.random.default_rng(seed)
     starts = [np.concatenate([np.ones(size), np.zeros(size)])]
@@ -399,6 +406,70 @@ def optimize_state(
     )
 
 
+def _support_score(
+    model: BogoliubovFirstOrder,
+    layout: ModeLayout,
+    support: tuple[tuple[int, ...], ...],
+    keep: ModeSubset | None,
+) -> Callable[[np.ndarray], float]:
+    """The (reduced) first-order QFI on a fixed support as a function of c.
+
+    The first-order map is linear in the amplitudes c over ``support``:
+    psi0 = P0 c and psi1 = M c, whose columns are the transforms of the
+    support basis states and whose rows are the output occupations.  The
+    QFI is 4(|Mc|^2 - |<P0c|Mc>|^2).  With ``keep`` the tracing loss
+    4 sum_g |sum_{r in g} conj((L c)_r) (Mc)_r|^2 is subtracted: g runs
+    over the complement occupations of the rows other than the reference,
+    and row r of L picks the psi0 amplitude whose kept part is that of r.
+    """
+    if keep is not None:
+        keep.validate_for(layout)
+        comp = keep.complement(layout.mode_count)
+        reference = _complement_reference(support, comp)
+    pairs = [
+        transform_first_order(model, StateVector.from_occupation(layout, occ))
+        for occ in support
+    ]
+    rows = sorted(
+        {occ for pair in pairs for occ in pair.psi0.support() + pair.psi1.support()}
+    )
+    row_of = {occ: r for r, occ in enumerate(rows)}
+    p0 = np.zeros((len(rows), len(support)), dtype=np.complex128)
+    m1 = np.zeros_like(p0)
+    for j, pair in enumerate(pairs):
+        for occ, amp in pair.psi0.items():
+            p0[row_of[occ], j] = amp
+        for occ, amp in pair.psi1.items():
+            m1[row_of[occ], j] = amp
+
+    lift = gather = None
+    if keep is not None:
+        support_of = {
+            tuple(occ[m] for m in keep.indices): j for j, occ in enumerate(support)
+        }
+        groups = sorted({tuple(occ[m] for m in comp) for occ in rows} - {reference})
+        group_of = {g: i for i, g in enumerate(groups)}
+        lift = np.zeros_like(p0)
+        gather = np.zeros((len(groups), len(rows)), dtype=np.complex128)
+        for r, occ in enumerate(rows):
+            g = group_of.get(tuple(occ[m] for m in comp))
+            j = support_of.get(tuple(occ[m] for m in keep.indices))
+            if g is not None and j is not None:
+                lift[r, j] = p0[row_of[support[j]], j]
+                gather[g, r] = 1.0
+
+    def score(c: np.ndarray) -> float:
+        psi1 = m1 @ c
+        overlap = np.vdot(p0 @ c, psi1)
+        value = _clamp_nonnegative(4.0 * (np.vdot(psi1, psi1).real - abs(overlap) ** 2))
+        if gather is None:
+            return value
+        projected = gather @ ((lift @ c).conj() * psi1)
+        return value - 4.0 * np.vdot(projected, projected).real
+
+    return score
+
+
 def _tilt_to_target(
     c: np.ndarray, weights: np.ndarray, totals: np.ndarray, target: float
 ) -> np.ndarray | None:
@@ -411,24 +482,27 @@ def _tilt_to_target(
         return np.where(np.isclose(totals, lo_n) & active, c, 0.0)
     if target >= hi_n - 1e-12:
         return np.where(np.isclose(totals, hi_n) & active, c, 0.0)
+    logw = np.where(active, np.log(weights, where=active, out=np.zeros_like(weights)), -np.inf)
 
     def mean_gap(t: float) -> float:
-        logw = np.where(active, np.log(weights, where=active, out=np.zeros_like(weights)), -np.inf)
         shifted = logw + t * totals
         shifted -= shifted.max()
         w = np.exp(shifted)
-        return float(np.sum(w * totals) / np.sum(w)) - target
+        return float((w * totals).sum() / w.sum()) - target
 
     lo, hi = -1.0, 1.0
+    gap_lo, gap_hi = mean_gap(lo), mean_gap(hi)
     for _ in range(200):
-        if mean_gap(lo) < 0.0:
+        if gap_lo < 0.0:
             break
         lo *= 2.0
+        gap_lo = mean_gap(lo)
     for _ in range(200):
-        if mean_gap(hi) > 0.0:
+        if gap_hi > 0.0:
             break
         hi *= 2.0
-    if mean_gap(lo) >= 0.0 or mean_gap(hi) <= 0.0:
+        gap_hi = mean_gap(hi)
+    if gap_lo >= 0.0 or gap_hi <= 0.0:
         return None
     t = brentq(mean_gap, lo, hi, xtol=1e-14)
     return c * np.exp(0.5 * t * totals)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -96,19 +97,26 @@ def qfi_pure_report(pair: FirstOrderPair, theta: float = DEFAULT_THETA) -> QfiRe
     )
 
 
-def _pair_and_loss(
-    model: BogoliubovFirstOrder, state: StateVector, keep: ModeSubset
-) -> tuple[FirstOrderPair, float]:
-    keep.validate_for(state.layout)
-    comp = keep.complement(state.layout.mode_count)
-    references = {tuple(occ[m] for m in comp) for occ, _ in state.items()}
+def _complement_reference(
+    support: Sequence[tuple[int, ...]], comp: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The complement occupation shared by every support state."""
+    references = {tuple(occ[m] for m in comp) for occ in support}
     if len(references) != 1:
         raise SupportError(
             "state support outside keep: the complement occupation varies "
             "across the superposition, so the reduced zeroth-order state is "
             "not pure"
         )
-    reference = references.pop()
+    return references.pop()
+
+
+def _pair_and_loss(
+    model: BogoliubovFirstOrder, state: StateVector, keep: ModeSubset
+) -> tuple[FirstOrderPair, float]:
+    keep.validate_for(state.layout)
+    comp = keep.complement(state.layout.mode_count)
+    reference = _complement_reference(state.support(), comp)
     pair = transform_first_order(model, state)
     kept = keep.indices
     psi0_k = {

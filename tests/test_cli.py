@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bogofisher
 from bogofisher.cli import cli_main
 
 
@@ -206,3 +210,70 @@ def test_state_normalization_enforced(squeezer_doc, tmp_path, capsys):
     assert cli_main(["qfi", squeezer_doc, "--state", state]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ModelFormatError"
+
+
+def _fresh_process(argv):
+    src = os.path.dirname(os.path.dirname(bogofisher.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "bogofisher", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_repeated_calls_match_fresh_processes(squeezer_doc, vacuum_state_doc, capsys):
+    calls = [
+        ["validate", squeezer_doc],
+        ["qfi", squeezer_doc, "--state", vacuum_state_doc, "--nu", "many"],
+        ["qfi", squeezer_doc, "--state", vacuum_state_doc, "--nu", "4"],
+    ]
+    in_process = []
+    for argv in calls:
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [0, 1, 0]
+    assert json.loads(in_process[1][2])["error"] == "UsageError"
+    assert len(in_process[1][2].splitlines()) == 1
+    assert in_process == [_fresh_process(argv) for argv in calls]
+
+
+def _model_with_nan(where):
+    doc = {
+        "modes": 2,
+        "G": [[1.0, 0.0], [1.0, 0.0]],
+        "alpha1": [[0, 1, 1.0, 0.0], [1, 0, -1.0, 0.0]],
+        "beta1": [[0, 1, 1.0, 0.0], [1, 0, 1.0, 0.0]],
+    }
+    if where == "G":
+        doc["G"][0] = [float("nan"), 0.0]
+    else:
+        doc[where][0][2] = float("nan")
+    return doc
+
+
+@pytest.mark.parametrize("where", ["G", "alpha1", "beta1"])
+def test_nan_coefficients_fail_validation(where, tmp_path, capsys):
+    model = write_json(tmp_path / "nan.json", _model_with_nan(where))
+    state = write_json(tmp_path / "s11.json", [{"occ": [1, 1], "re": 1.0, "im": 0.0}])
+    support = write_json(tmp_path / "support.json", [[1, 1], [2, 2]])
+
+    assert cli_main(["validate", model]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert report["violations"]
+
+    for argv in (
+        ["qfi", model, "--state", state],
+        ["optimize", model, "--support", support, "--avg-n", "3", "--restarts", "1"],
+    ):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "UnitarityError"

@@ -20,10 +20,14 @@ from bogofisher import (
     scan_fock,
     single_mode_squeezer,
     transform_first_order,
+    tracing_loss,
     two_mode_squeezer,
     vacuum_qfi,
 )
-from bogofisher.harness import worker_count
+from bogofisher import harness, qfi
+from bogofisher.harness import _support_score, worker_count
+
+from helpers import random_model, rephased
 
 
 def test_scan_single_mode_squeezer_values():
@@ -234,3 +238,64 @@ def test_optimize_rejects_bad_support():
         optimize_state(model, [(1, 1), (1, 1)], 2.0)
     with pytest.raises(SupportError):
         optimize_state(model, [(1, 1, 0)], 2.0)
+
+
+# (modes, kept modes or None, support); supports under a keep share one
+# complement occupation, as tracing losses require.
+COMPILED_CASES = [
+    (2, None, [(0, 1), (1, 1), (2, 0)]),
+    (2, (0,), [(0, 2), (1, 2), (3, 2), (4, 2)]),
+    (3, None, [(0, 0, 1), (1, 2, 0), (2, 1, 1), (0, 3, 0), (1, 0, 2)]),
+    (3, (0, 1), [(0, 0, 1), (1, 0, 1), (2, 1, 1), (0, 2, 1), (1, 3, 1), (3, 3, 1)]),
+    (3, (1,), [(2, 0, 1), (2, 1, 1), (2, 3, 1)]),
+]
+
+
+@pytest.mark.parametrize("modes,kept,support", COMPILED_CASES)
+def test_support_score_matches_first_order_route(modes, kept, support):
+    rng = np.random.default_rng([modes, len(support)])
+    model = rephased(random_model(rng, modes), rng.uniform(0.0, 2.0 * math.pi, modes))
+    assert not np.allclose(model.G, 1.0)
+    layout = ModeLayout(modes, max(max(occ) for occ in support) + 2)
+    keep = None if kept is None else ModeSubset.of(kept)
+    compiled = _support_score(model, layout, tuple(support), keep)
+    for _ in range(20):
+        c = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+        c /= np.linalg.norm(c)
+        state = StateVector(layout, dict(zip(support, c)), prune=0.0)
+        want = qfi_pure(transform_first_order(model, state))
+        if keep is not None:
+            want -= tracing_loss(model, state, keep)
+        assert abs(compiled(c) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_optimize_keep_rejects_varying_complement_before_minimize(monkeypatch):
+    def no_minimize(*args, **kwargs):
+        raise AssertionError("minimize ran on an invalid support")
+
+    monkeypatch.setattr(harness, "minimize", no_minimize)
+    model = two_mode_squeezer(0, 1, 3)
+    with pytest.raises(SupportError, match="complement occupation varies"):
+        optimize_state(
+            model, [(1, 1, 0), (2, 0, 1)], 2.0, keep=ModeSubset.of([0, 1])
+        )
+
+
+@pytest.mark.parametrize("kept", [None, (0, 1)])
+def test_optimize_transforms_once_per_support_state(monkeypatch, kept):
+    calls = []
+    original = harness.transform_first_order
+
+    def counted(model, state):
+        calls.append(len(state))
+        return original(model, state)
+
+    monkeypatch.setattr(harness, "transform_first_order", counted)
+    monkeypatch.setattr(qfi, "transform_first_order", counted)
+    rng = np.random.default_rng(11)
+    model = rephased(random_model(rng, 3), rng.uniform(0.0, 2.0 * math.pi, 3))
+    support = [(0, 1, 2), (1, 1, 2), (2, 0, 2), (3, 2, 2)]
+    keep = None if kept is None else ModeSubset.of(kept)
+    restarts = 3
+    optimize_state(model, support, 4.0, keep=keep, restarts=restarts, max_iter=200)
+    assert len(calls) <= len(support) + 2 * restarts

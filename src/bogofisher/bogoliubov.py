@@ -180,6 +180,11 @@ _BUILTINS = {
 }
 
 
+def is_json_int(value: Any) -> bool:
+    """True for a JSON integer: an int that is not a bool (bool subclasses int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_model(doc: Mapping[str, Any]) -> BogoliubovFirstOrder:
     """Parse a model document without enforcing unitarity.
 
@@ -197,7 +202,7 @@ def parse_model(doc: Mapping[str, Any]) -> BogoliubovFirstOrder:
     if unknown:
         raise ModelFormatError(f"unknown model keys: {sorted(unknown)}")
     modes = doc.get("modes")
-    if not isinstance(modes, int) or modes < 1:
+    if not is_json_int(modes) or modes < 1:
         raise ModelFormatError("'modes' must be a positive integer")
     G = np.ones(modes, dtype=np.complex128)
     if "G" in doc:
@@ -246,17 +251,17 @@ def _parse_builtin(doc: Mapping[str, Any]) -> BogoliubovFirstOrder:
             f"unknown builtin {name!r}; available: {sorted(_BUILTINS)}"
         )
     modes = doc.get("modes")
-    if not isinstance(modes, int) or modes < 1:
+    if not is_json_int(modes) or modes < 1:
         raise ModelFormatError("'modes' must be a positive integer")
     k = doc.get("k")
-    if not isinstance(k, int):
+    if not is_json_int(k):
         raise ModelFormatError("'k' must be an integer mode index")
     if name == "single_mode_squeezer":
         if "kprime" in doc:
             raise ModelFormatError("single_mode_squeezer takes no 'kprime'")
         return single_mode_squeezer(k, modes)
     kprime = doc.get("kprime")
-    if not isinstance(kprime, int):
+    if not is_json_int(kprime):
         raise ModelFormatError(f"{name} requires an integer 'kprime'")
     return _BUILTINS[name](k, kprime, modes)
 
@@ -270,7 +275,7 @@ def _parse_entries(raw: Any, modes: int, name: str) -> np.ndarray:
         if not isinstance(entry, list) or len(entry) != 4:
             raise ModelFormatError(f"'{name}' entries must be [m, n, re, im]")
         m, n, re, im = entry
-        if not isinstance(m, int) or not isinstance(n, int):
+        if not is_json_int(m) or not is_json_int(n):
             raise ModelFormatError(f"'{name}' indices must be integers")
         if not (0 <= m < modes and 0 <= n < modes):
             raise ModelFormatError(f"'{name}' index ({m}, {n}) out of range")

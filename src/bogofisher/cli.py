@@ -12,11 +12,12 @@ import argparse
 import functools
 import json
 import logging
+import math
 import sys
 from typing import Any, Sequence
 
 from . import harness
-from .bogoliubov import parse_model, validate
+from .bogoliubov import is_json_int, parse_model, validate
 from .errors import (
     BogofisherError,
     BudgetError,
@@ -147,7 +148,7 @@ def _state_layout(model, doc, explicit_cutoff: int | None) -> ModeLayout:
     if isinstance(doc, list):
         for entry in doc:
             if isinstance(entry, dict) and isinstance(entry.get("occ"), list):
-                candidates = [x for x in entry["occ"] if isinstance(x, int)]
+                candidates = [x for x in entry["occ"] if is_json_int(x)]
                 if candidates:
                     max_occ = max(max_occ, max(candidates))
     cutoff = explicit_cutoff if explicit_cutoff is not None else max_occ + DEFAULT_STATE_CUTOFF_MARGIN
@@ -164,8 +165,14 @@ def _keep_subset(indices: tuple[int, ...] | None) -> ModeSubset | None:
 
 
 def _emit(payload: dict[str, Any]) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    """Write one strict JSON object; a NaN or Inf raises before anything is written."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    sys.stdout.write(text + "\n")
+
+
+def _finite_or_null(value: float) -> float | None:
+    """Strict JSON has no NaN or Inf; such a value is written as null."""
+    return value if math.isfinite(value) else None
 
 
 def _cmd_validate(args) -> int:
@@ -174,12 +181,14 @@ def _cmd_validate(args) -> int:
     _emit(
         {
             "passed": report.passed,
-            "worst_residuals": {k: report.worst[k] for k in sorted(report.worst)},
+            "worst_residuals": {
+                k: _finite_or_null(report.worst[k]) for k in sorted(report.worst)
+            },
             "violations": [
                 {
                     "constraint": v.constraint,
                     "indices": list(v.indices),
-                    "residual": v.residual,
+                    "residual": _finite_or_null(v.residual),
                 }
                 for v in report.violations
             ],

@@ -106,7 +106,7 @@ class StateVector:
     Treated as immutable after construction.  ``leakage`` accumulates the
     squared magnitudes of contributions dropped past the cutoff by
     operator applications; it is a truncation-quality monitor, not part
-    of the state.
+    of the state.  A NaN or infinite amplitude raises ValueError.
     """
 
     __slots__ = ("layout", "_amp", "leakage")
@@ -125,7 +125,11 @@ class StateVector:
             if not layout.contains(occ):
                 raise ValueError(f"occupation {occ} outside layout {layout}")
             c = complex(value)
-            if abs(c) > prune:
+            size = abs(c)
+            # "not <" so that NaN, which fails every comparison, is refused too.
+            if not size < math.inf:
+                raise ValueError(f"non-finite amplitude {c} at occupation {occ}")
+            if size > prune:
                 amp[occ] = c
         self._amp = amp
         self.leakage = float(leakage)

@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import brentq, least_squares, minimize
 
-from .bogoliubov import BogoliubovFirstOrder
+from .bogoliubov import BogoliubovFirstOrder, is_json_int
 from .errors import ModelFormatError, SupportError
 from .fock import ModeLayout, ModeSubset, StateVector, average_particle_number
 from .oracle import generator_from_model, qfi_fidelity_pure
@@ -538,9 +538,7 @@ def load_state_document(
                 'state entries must be objects with keys "occ", "re", "im"'
             )
         occ_raw = entry.get("occ")
-        if not isinstance(occ_raw, list) or not all(
-            isinstance(x, int) for x in occ_raw
-        ):
+        if not isinstance(occ_raw, list) or not all(is_json_int(x) for x in occ_raw):
             raise ModelFormatError('state "occ" must be a list of integers')
         occ = tuple(occ_raw)
         if len(occ) != layout.mode_count:
@@ -551,9 +549,7 @@ def load_state_document(
             raise ModelFormatError(f"occupation {occ} exceeds cutoff {layout.cutoff}")
         if occ in amplitudes:
             raise ModelFormatError(f"duplicate state entry for occupation {occ}")
-        amplitudes[occ] = complex(
-            float(entry.get("re", 0.0)), float(entry.get("im", 0.0))
-        )
+        amplitudes[occ] = complex(_finite_part(entry, "re"), _finite_part(entry, "im"))
     state = StateVector(layout, amplitudes, prune=0.0)
     norm = state.norm()
     if abs(norm * norm - 1.0) > norm_tol:
@@ -566,13 +562,24 @@ def load_state_document(
     return state
 
 
+def _finite_part(entry: Mapping, key: str) -> float:
+    """The real or imaginary part of a state entry (0 when omitted), finite."""
+    try:
+        value = float(entry.get(key, 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f'state "{key}" must be a number') from exc
+    if not math.isfinite(value):
+        raise ModelFormatError(f'state "{key}" must be finite, got {value}')
+    return value
+
+
 def load_support_document(doc: Any, mode_count: int) -> list[tuple[int, ...]]:
     """Parse a support document: a JSON list of occupation lists."""
     if not isinstance(doc, list) or not doc:
         raise ModelFormatError("support document must be a non-empty JSON list")
     support = []
     for entry in doc:
-        if not isinstance(entry, list) or not all(isinstance(x, int) for x in entry):
+        if not isinstance(entry, list) or not all(is_json_int(x) for x in entry):
             raise ModelFormatError("support entries must be integer lists")
         if len(entry) != mode_count:
             raise ModelFormatError(

@@ -24,8 +24,10 @@ beta_kk = sinh(theta).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -207,7 +209,8 @@ def _shell_mask(layout: ModeLayout) -> np.ndarray:
 
 def _check_shell_weight(vec: np.ndarray, shell: np.ndarray, budget: float) -> None:
     weight = float(np.sum(np.abs(vec[shell]) ** 2))
-    if weight > budget:
+    # Written as "not <=" so that a NaN weight (a non-finite vector) fails.
+    if not weight <= budget:
         raise BudgetError(
             f"boundary-shell weight {weight:.3e} exceeds the leakage "
             f"budget {budget:.1e}; raise the cutoff"
@@ -215,22 +218,30 @@ def _check_shell_weight(vec: np.ndarray, shell: np.ndarray, budget: float) -> No
 
 
 def _propagation(gen: GeneratorSpec, state: StateVector, shell_budget: float):
-    """The dense input and theta -> exp(-i theta H)|state>, H built once.
+    """The dense input and a sweep of exp(-i theta H)|state>, H built once.
 
-    The input and every evolved vector are held to the boundary-shell
-    leakage budget.
+    ``sweep(start, stop, num)`` returns the evolved vectors at the
+    ``num`` equally spaced thetas from ``start`` to ``stop`` (endpoint
+    included) as the rows of one array, from one ``expm_multiply`` call:
+    the interval algorithm of Al-Mohy & Higham (2011, section 5) costs
+    about as much as a single evolution.  The input and every evolved
+    vector are held to the boundary-shell leakage budget.
     """
-    H = hamiltonian(gen, state.layout)
+    A = -1j * hamiltonian(gen, state.layout)
     shell = _shell_mask(state.layout)
     v0 = state.to_dense()
     _check_shell_weight(v0, shell, shell_budget)
 
-    def evolve(theta: float) -> np.ndarray:
-        out = expm_multiply((-1j * theta) * H, v0)
-        _check_shell_weight(out, shell, shell_budget)
-        return out
+    def sweep(start: float, stop: float, num: int) -> np.ndarray:
+        # The interval algorithm assumes start <= stop; on a descending grid
+        # scipy returns wrong vectors without an error, so run it ascending.
+        lo, hi = min(start, stop), max(start, stop)
+        out = expm_multiply(A, v0, start=lo, stop=hi, num=num, endpoint=True)
+        for vec in out:
+            _check_shell_weight(vec, shell, shell_budget)
+        return out if start <= stop else out[::-1]
 
-    return v0, evolve
+    return v0, sweep
 
 
 def exact_unitary(gen: GeneratorSpec, theta: float, layout: ModeLayout) -> ExactUnitary:
@@ -259,8 +270,8 @@ def evolve_state(
     shell_budget: float = SHELL_BUDGET,
 ) -> StateVector:
     """Apply the exact propagator to a sparse state, monitoring leakage."""
-    _, evolve = _propagation(gen, state, shell_budget)
-    return StateVector.from_dense(state.layout, evolve(theta))
+    _, sweep = _propagation(gen, state, shell_budget)
+    return StateVector.from_dense(state.layout, sweep(0.0, theta, 2)[1])
 
 
 @dataclass(frozen=True)
@@ -271,11 +282,17 @@ class FidelityEstimate:
     error: float
 
 
-def _richardson(estimate, dtheta: float) -> FidelityEstimate:
-    """Cancel the O(dtheta^2) error of an estimator that is even in dtheta."""
-    coarse = estimate(dtheta)
-    fine = estimate(dtheta / 2.0)
-    value = (4.0 * fine - coarse) / 3.0
+# Rows of a five-point sweep over [-h, h] other than theta = 0:
+# -h, -h/2, h/2, h.
+_OFF_CENTER = [0, 1, 3, 4]
+
+
+def _richardson(coarse: float, fine: float, dtheta: float) -> FidelityEstimate:
+    """Cancel the O(dtheta^2) error of an estimator that is even in dtheta.
+
+    ``coarse`` and ``fine`` are its values at dtheta and dtheta / 2.
+    """
+    value = _extrapolate(coarse, fine, richardson=True)
     error = abs(fine - coarse) / 3.0 + 64.0 * np.finfo(float).eps / dtheta**2
     return FidelityEstimate(max(value, 0.0), error)
 
@@ -289,16 +306,20 @@ def qfi_fidelity_pure(
     """Fidelity-based QFI at theta = 0 for a pure state with all modes kept.
 
     Evaluates 8(1 - |<psi(0)|psi(dtheta)>|)/dtheta^2 at dtheta and
-    dtheta/2 and Richardson-extrapolates the O(dtheta^2) error away.
+    dtheta/2, one sweep over [0, dtheta/2, dtheta], and
+    Richardson-extrapolates the O(dtheta^2) error away.
     """
     if not state.is_normalized(1e-9):
         raise ValueError("input state must be normalized")
-    v0, evolve = _propagation(gen, state, shell_budget)
+    v0, sweep = _propagation(gen, state, shell_budget)
+    _, psi_fine, psi_coarse = sweep(0.0, dtheta, 3)
 
-    def estimate(h: float) -> float:
-        return 8.0 * (1.0 - abs(np.vdot(v0, evolve(h)))) / h**2
+    def estimate(psi_h: np.ndarray, h: float) -> float:
+        return 8.0 * (1.0 - abs(np.vdot(v0, psi_h))) / h**2
 
-    return _richardson(estimate, dtheta)
+    return _richardson(
+        estimate(psi_coarse, dtheta), estimate(psi_fine, dtheta / 2.0), dtheta
+    )
 
 
 def uhlmann_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
@@ -357,33 +378,56 @@ def qfi_fidelity_mixed(
 
     The reduced-state fidelity is not even in theta, so the estimates at
     +h and -h are averaged, which cancels its odd terms, before the
-    Richardson step.
+    Richardson step.  One sweep covers [-dtheta, dtheta] in five points.
     """
     if not state.is_normalized(1e-9):
         raise ValueError("input state must be normalized")
     keep.validate_for(state.layout)
     ModeLayout(len(keep.indices), state.layout.cutoff)  # dense budget check
-    v0, evolve = _propagation(gen, state, shell_budget)
+    v0, sweep = _propagation(gen, state, shell_budget)
     rho0 = _reduced_dense(v0, state.layout, keep)
+    minus_h, minus_half, plus_half, plus_h = sweep(-dtheta, dtheta, 5)[_OFF_CENTER]
 
-    def one_sided(h: float) -> float:
-        rho_h = _reduced_dense(evolve(h), state.layout, keep)
+    def one_sided(psi_h: np.ndarray, h: float) -> float:
+        rho_h = _reduced_dense(psi_h, state.layout, keep)
         fidelity = uhlmann_fidelity(rho0, rho_h)
         return 8.0 * (1.0 - math.sqrt(min(fidelity, 1.0))) / h**2
 
-    def estimate(h: float) -> float:
-        return 0.5 * (one_sided(h) + one_sided(-h))
+    def estimate(plus: np.ndarray, minus: np.ndarray, h: float) -> float:
+        return 0.5 * (one_sided(plus, h) + one_sided(minus, h))
 
-    return _richardson(estimate, dtheta)
+    return _richardson(
+        estimate(plus_h, minus_h, dtheta),
+        estimate(plus_half, minus_half, dtheta / 2.0),
+        dtheta,
+    )
 
 
-@dataclass(frozen=True, eq=False)
 class DerivativeStates:
-    """Finite-difference first-order state and reduced-state corrections."""
+    """Finite-difference first-order state and reduced-state corrections.
 
-    psi1: StateVector
-    rho1: DensityOperator
-    rho2: DensityOperator
+    ``psi1`` is computed on construction.  The dense operators ``rho1``
+    and ``rho2`` are built on first read and cached, so a caller that
+    reads only ``psi1`` builds no reduced density matrix.
+    """
+
+    def __init__(
+        self,
+        psi1: StateVector,
+        rho1: Callable[[], DensityOperator],
+        rho2: Callable[[], DensityOperator],
+    ) -> None:
+        self.psi1 = psi1
+        self._build_rho1 = rho1
+        self._build_rho2 = rho2
+
+    @functools.cached_property
+    def rho1(self) -> DensityOperator:
+        return self._build_rho1()
+
+    @functools.cached_property
+    def rho2(self) -> DensityOperator:
+        return self._build_rho2()
 
 
 def derivative_states(
@@ -400,43 +444,55 @@ def derivative_states(
     rho1 and rho2 are the linear and quadratic coefficients of the
     reduced-state expansion in theta, taken on ``keep`` (all modes when
     omitted).  Richardson extrapolation removes the leading O(h^2)
-    finite-difference error.
+    finite-difference error.  psi1 and rho1 share one five-point sweep
+    over [-dtheta, dtheta]; rho2 makes its own over [-dtheta2, dtheta2]
+    when it is first read.
     """
     layout = state.layout
     keep = keep if keep is not None else ModeSubset.of(range(layout.mode_count))
     keep.validate_for(layout)
-    _, psi = _propagation(gen, state, shell_budget)
-
-    def psi1_estimate(h: float) -> np.ndarray:
-        return (psi(h) - psi(-h)) / (2.0 * h)
-
-    def rho(h: float) -> np.ndarray:
-        return _reduced_dense(psi(h), layout, keep)
-
-    def rho1_estimate(h: float) -> np.ndarray:
-        return (rho(h) - rho(-h)) / (2.0 * h)
-
-    rho_0 = rho(0.0)
-
-    def rho2_estimate(h: float) -> np.ndarray:
-        return (rho(h) - 2.0 * rho_0 + rho(-h)) / (2.0 * h * h)
-
-    psi1 = _extrapolate(psi1_estimate, dtheta, richardson)
-    rho1 = _extrapolate(rho1_estimate, dtheta, richardson)
-    rho2 = _extrapolate(rho2_estimate, dtheta2, richardson)
     sub_layout = ModeLayout(len(keep.indices), layout.cutoff)
-    return DerivativeStates(
-        StateVector.from_dense(layout, psi1),
-        DensityOperator(sub_layout, _hermitize(rho1)),
-        DensityOperator(sub_layout, _hermitize(rho2)),
-    )
+    v0, sweep = _propagation(gen, state, shell_budget)
+    psi = sweep(-dtheta, dtheta, 5)[_OFF_CENTER]
+
+    def reduced(vectors) -> list[np.ndarray]:
+        return [_reduced_dense(vec, layout, keep) for vec in vectors]
+
+    def rho1() -> DensityOperator:
+        rho = _first_difference(reduced(psi), dtheta, richardson)
+        return DensityOperator(sub_layout, _hermitize(rho))
+
+    def rho2() -> DensityOperator:
+        rho_h = reduced(sweep(-dtheta2, dtheta2, 5)[_OFF_CENTER])
+        rho_0 = _reduced_dense(v0, layout, keep)
+        rho = _second_difference(rho_h, rho_0, dtheta2, richardson)
+        return DensityOperator(sub_layout, _hermitize(rho))
+
+    psi1 = _first_difference(psi, dtheta, richardson)
+    return DerivativeStates(StateVector.from_dense(layout, psi1), rho1, rho2)
 
 
-def _extrapolate(estimator, h: float, richardson: bool) -> np.ndarray:
-    coarse = estimator(h)
+def _first_difference(f, h: float, richardson: bool) -> np.ndarray:
+    """f'(0) from f = (f(-h), f(-h/2), f(h/2), f(h))."""
+    minus_h, minus_half, plus_half, plus_h = f
+    coarse = (plus_h - minus_h) / (2.0 * h)
+    fine = (plus_half - minus_half) / h
+    return _extrapolate(coarse, fine, richardson)
+
+
+def _second_difference(f, f0: np.ndarray, h: float, richardson: bool) -> np.ndarray:
+    """f''(0) / 2 from f = (f(-h), f(-h/2), f(h/2), f(h)) and f0 = f(0)."""
+    minus_h, minus_half, plus_half, plus_h = f
+    half = h / 2.0
+    coarse = (plus_h - 2.0 * f0 + minus_h) / (2.0 * h * h)
+    fine = (plus_half - 2.0 * f0 + minus_half) / (2.0 * half * half)
+    return _extrapolate(coarse, fine, richardson)
+
+
+def _extrapolate(coarse: np.ndarray, fine: np.ndarray, richardson: bool) -> np.ndarray:
+    """Richardson combination of estimates at steps h and h/2 (or ``coarse``)."""
     if not richardson:
         return coarse
-    fine = estimator(h / 2.0)
     return (4.0 * fine - coarse) / 3.0
 
 

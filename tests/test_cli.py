@@ -277,3 +277,79 @@ def test_nan_coefficients_fail_validation(where, tmp_path, capsys):
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "UnitarityError"
+
+
+def _single_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_state_amplitude_exits_two(squeezer_doc, tmp_path, capsys, part, value):
+    # The other term alone is normalized, so a dropped non-finite term would pass.
+    entry = {"occ": [2], "re": 0.0, "im": 0.0}
+    entry[part] = value
+    state = write_json(tmp_path / "nan_state.json", [{"occ": [0], "re": 1.0, "im": 0.0}, entry])
+    assert cli_main(["qfi", squeezer_doc, "--state", state]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line(captured.err)["error"] == "ModelFormatError"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("where", ["G", "alpha1", "beta1"])
+def test_validate_stdout_is_strict_json(where, tmp_path, capsys):
+    model = write_json(tmp_path / "nan.json", _model_with_nan(where))
+    assert cli_main(["validate", model]) == 2
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert report["passed"] is False
+    assert None in report["worst_residuals"].values()
+    assert any(v["residual"] is None for v in report["violations"])
+
+
+def test_emit_refuses_non_finite_before_writing(capsys):
+    with pytest.raises(ValueError):
+        bogofisher.cli._emit({"ok": 1.0, "bad": float("nan")})
+    assert capsys.readouterr().out == ""
+
+
+_TMS = {"builtin": "two_mode_squeezer", "k": 0, "kprime": 1, "modes": 2}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"modes": True, "beta1": []},
+        {"modes": 2, "beta1": [[True, 1, 1.0, 0.0], [1, 0, 1.0, 0.0]]},
+        {"modes": 2, "alpha1": [[0, False, 1.0, 0.0]]},
+        {**_TMS, "modes": True},
+        {**_TMS, "k": False},
+        {**_TMS, "kprime": True},
+        {"builtin": "single_mode_squeezer", "k": True, "modes": 2},
+    ],
+)
+def test_bool_in_model_integer_field_exits_two(model, tmp_path, capsys):
+    path = write_json(tmp_path / "bool_model.json", model)
+    assert cli_main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line(captured.err)["error"] == "ModelFormatError"
+
+
+@pytest.mark.parametrize("command", ["qfi", "oracle-compare", "optimize"])
+def test_bool_occupation_exits_two(command, tms_doc, tmp_path, capsys):
+    if command == "optimize":
+        doc = write_json(tmp_path / "support.json", [[1, 1], [True, 1]])
+        argv = ["optimize", tms_doc, "--support", doc, "--avg-n", "2"]
+    else:
+        doc = write_json(tmp_path / "state.json", [{"occ": [True, 1], "re": 1.0, "im": 0.0}])
+        argv = [command, tms_doc, "--state", doc]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line(captured.err)["error"] == "ModelFormatError"

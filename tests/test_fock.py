@@ -218,3 +218,14 @@ def test_mode_subset_validation():
     assert keep.complement(4) == (1, 3)
     with pytest.raises(ValueError):
         keep.validate_for(ModeLayout(2, 3))
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), complex(0.0, float("nan")), float("inf"), complex(1.0, -float("inf"))]
+)
+def test_state_vector_refuses_non_finite_amplitude(value):
+    layout = ModeLayout(2, 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        StateVector(layout, {(0, 0): 1.0, (1, 0): value})
+    with pytest.raises(ValueError, match="non-finite"):
+        StateVector(layout, {(1, 0): value}, prune=0.0)

@@ -1,6 +1,7 @@
 """Exact-propagator oracle: unitaries, coefficient extraction, fidelity QFI,
 finite-difference derivatives, coherent states."""
 
+import json
 import math
 
 import numpy as np
@@ -35,6 +36,8 @@ from bogofisher import (
     uhlmann_fidelity,
     validate,
 )
+from bogofisher import oracle
+from bogofisher.cli import cli_main
 
 from helpers import dense_hamiltonian_matrix, random_generator, random_state, state_distance
 
@@ -80,6 +83,24 @@ def test_squeezed_vacuum_overlap():
     evolved = evolve_state(gen, vac, theta)
     overlap = abs(evolved.amplitude([0])) ** 2
     assert overlap == pytest.approx(1.0 / math.cosh(theta), abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.08, -0.08, 0.0])
+def test_evolve_state_matches_exact_unitary(theta):
+    rng = np.random.default_rng(57)
+    layout = ModeLayout(2, 9)
+    gen = random_generator(rng, 2, 0.5)
+    state = random_state(rng, layout, modes=[0, 1], terms=2, max_occ=2)
+    expected = exact_unitary(gen, theta, layout).matrix @ state.to_dense()
+    evolved = evolve_state(gen, state, theta).to_dense()
+    assert np.max(np.abs(evolved - expected)) < 1e-12
+
+
+def test_qfi_fidelity_pure_negative_step():
+    gen = two_mode_squeezer_generator(0, 1, 2)
+    state = StateVector.from_occupation(ModeLayout(2, 9), [1, 1])
+    backward = qfi_fidelity_pure(gen, state, dtheta=-1e-3)
+    assert backward.value == pytest.approx(20.0, abs=1e-5)
 
 
 def test_extract_bogoliubov_squeezer():
@@ -289,3 +310,146 @@ def test_generator_spec_validation():
         GeneratorSpec(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         GeneratorSpec(np.zeros((2, 2)), np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def _stencil_reference(gen, state, keep_count, dtheta, dtheta2, richardson):
+    """psi1, rho1, rho2 from dense exact_unitary propagators at each stencil theta.
+
+    The kept modes are the leading ``keep_count`` modes, so the reduced
+    state is flat @ flat^dag with flat the vector reshaped kept x rest.
+    """
+    layout = state.layout
+    v0 = state.to_dense()
+    kept_dim = (layout.cutoff + 1) ** keep_count
+
+    def psi(theta):
+        return exact_unitary(gen, theta, layout).matrix @ v0
+
+    def rho(vec):
+        flat = vec.reshape(kept_dim, -1)
+        return flat @ flat.conj().T
+
+    def combine(coarse, fine):
+        return (4.0 * fine - coarse) / 3.0 if richardson else coarse
+
+    h, q = dtheta, dtheta / 2.0
+    psi1 = combine((psi(h) - psi(-h)) / (2.0 * h), (psi(q) - psi(-q)) / (2.0 * q))
+    rho1 = combine(
+        (rho(psi(h)) - rho(psi(-h))) / (2.0 * h),
+        (rho(psi(q)) - rho(psi(-q))) / (2.0 * q),
+    )
+    h, q = dtheta2, dtheta2 / 2.0
+    rho_0 = rho(v0)
+    rho2 = combine(
+        (rho(psi(h)) - 2.0 * rho_0 + rho(psi(-h))) / (2.0 * h * h),
+        (rho(psi(q)) - 2.0 * rho_0 + rho(psi(-q))) / (2.0 * q * q),
+    )
+    return psi1, rho1, rho2
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize(
+    "modes,cutoff,keep_count,max_occ", [(1, 10, 1, 2), (2, 8, 1, 2), (3, 6, 2, 1)]
+)
+def test_derivative_states_match_exact_unitary_stencil(
+    modes, cutoff, keep_count, max_occ, richardson
+):
+    # Steps of 1e-3 and 4e-3 keep the round-off that the second difference
+    # divides by h^2 well below the tolerance on both sides.
+    dtheta, dtheta2 = 1e-3, 4e-3
+    rng = np.random.default_rng(60 + modes)
+    layout = ModeLayout(modes, cutoff)
+    gen = random_generator(rng, modes, 0.4)
+    state = random_state(
+        rng, layout, modes=list(range(min(modes, 2))), terms=2, max_occ=max_occ
+    )
+    ders = derivative_states(
+        gen,
+        state,
+        dtheta=dtheta,
+        dtheta2=dtheta2,
+        keep=ModeSubset.of(range(keep_count)),
+        richardson=richardson,
+    )
+    psi1, rho1, rho2 = _stencil_reference(
+        gen, state, keep_count, dtheta, dtheta2, richardson
+    )
+    assert np.max(np.abs(ders.psi1.to_dense() - psi1)) < 1e-9
+    assert np.max(np.abs(ders.rho1.matrix - rho1)) < 1e-9
+    assert np.max(np.abs(ders.rho2.matrix - rho2)) < 1e-9
+
+
+def test_derivative_states_corrections_built_once_on_read(monkeypatch):
+    calls = {"reduced": 0}
+    real_reduced = oracle._reduced_dense
+
+    def counting_reduced(*args):
+        calls["reduced"] += 1
+        return real_reduced(*args)
+
+    monkeypatch.setattr(oracle, "_reduced_dense", counting_reduced)
+    gen = two_mode_squeezer_generator(0, 1, 2)
+    state = StateVector.from_occupation(ModeLayout(2, 8), [1, 0])
+    ders = derivative_states(gen, state, keep=ModeSubset.of([0]))
+    assert calls["reduced"] == 0
+    rho2 = ders.rho2
+    built = calls["reduced"]
+    assert built > 0
+    assert ders.rho2 is rho2
+    assert calls["reduced"] == built
+
+
+def test_derivative_states_hermitian_check_runs_on_read(monkeypatch):
+    gen = two_mode_squeezer_generator(0, 1, 2)
+    state = StateVector.from_occupation(ModeLayout(2, 8), [1, 0])
+    monkeypatch.setattr(oracle, "_hermitize", lambda matrix: matrix + 1j * np.eye(len(matrix)))
+    ders = derivative_states(gen, state, keep=ModeSubset.of([0]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ders.rho1
+
+
+def test_oracle_compare_sweeps_twice_and_builds_no_density_matrix(
+    monkeypatch, tmp_path, capsys
+):
+    calls = {"expm_multiply": 0, "reduced": 0}
+    real_expm_multiply = oracle.expm_multiply
+    real_reduced = oracle._reduced_dense
+
+    def counting_expm_multiply(*args, **kwargs):
+        calls["expm_multiply"] += 1
+        return real_expm_multiply(*args, **kwargs)
+
+    def counting_reduced(*args):
+        calls["reduced"] += 1
+        return real_reduced(*args)
+
+    monkeypatch.setattr(oracle, "expm_multiply", counting_expm_multiply)
+    monkeypatch.setattr(oracle, "_reduced_dense", counting_reduced)
+    model = tmp_path / "model.json"
+    model.write_text(
+        json.dumps({"builtin": "two_mode_squeezer", "k": 0, "kprime": 1, "modes": 3}),
+        encoding="utf-8",
+    )
+    state = tmp_path / "state.json"
+    state.write_text(
+        json.dumps(
+            [
+                {"occ": [1, 0, 0], "re": 0.6, "im": 0.0},
+                {"occ": [0, 2, 1], "re": 0.0, "im": 0.8},
+            ]
+        ),
+        encoding="utf-8",
+    )
+    assert cli_main(["oracle-compare", str(model), "--state", str(state)]) == 0
+    assert json.loads(capsys.readouterr().out)["agree"] is True
+    assert calls["reduced"] == 0
+    assert calls["expm_multiply"] <= 2
+
+
+def test_shell_monitor_rejects_non_finite_vector():
+    layout = ModeLayout(1, 6)
+    vec = np.zeros(layout.basis_size, dtype=np.complex128)
+    vec[0] = 1.0
+    vec[layout.cutoff] = np.nan
+    with pytest.raises(BudgetError):
+        oracle._check_shell_weight(vec, oracle._shell_mask(layout), 1e-10)

@@ -282,14 +282,27 @@ def _parse_entries(raw: Any, modes: int, name: str) -> np.ndarray:
         if (m, n) in seen:
             raise ModelFormatError(f"duplicate '{name}' entry for ({m}, {n})")
         seen.add((m, n))
-        matrix[m, n] = complex(float(re), float(im))
+        matrix[m, n] = complex(_json_number(re, name), _json_number(im, name))
     return matrix
 
 
 def _complex_pair(pair: Any, what: str) -> complex:
     if not isinstance(pair, list) or len(pair) != 2:
         raise ModelFormatError(f"{what} must be an [re, im] pair")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_json_number(pair[0], what), _json_number(pair[1], what))
+
+
+def _json_number(value: Any, what: str) -> float:
+    """A JSON number (int or float, not bool) as a float; else ModelFormatError.
+
+    Non-finite values pass: ``validate`` reports them as violations.
+    """
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ModelFormatError(f"{what} coefficients must be numbers, got {value!r}")
 
 
 def _check_mode(k: int, mode_count: int) -> None:

@@ -7,6 +7,7 @@ on the occupation vectors so that dense realizations are reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,12 +66,50 @@ class ModeLayout:
             occ.append(n)
         return tuple(reversed(occ))
 
+    def ranks_of(self, occupations: np.ndarray) -> np.ndarray:
+        """Lexicographic ranks (``index_of``) of the rows of an occupation array."""
+        return occupations @ _place_values(self.cutoff, self.mode_count)
+
+    def subset_ranks(
+        self, occupations: np.ndarray, keep: ModeSubset
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Ranks of each row's kept part and of its complement part.
+
+        Each part is ranked in the layout of its own modes at this cutoff.
+        """
+        split = occupations @ _split_places(self.cutoff, self.mode_count, keep.indices)
+        return split[:, 0], split[:, 1]
+
+    def occupations_of(self, ranks: np.ndarray) -> np.ndarray:
+        """Occupation rows (first mode first) of an array of ranks."""
+        places = _place_values(self.cutoff, self.mode_count)
+        return ranks[:, None] // places % (self.cutoff + 1)
+
     def basis(self) -> Iterator[Occupation]:
         """All occupation vectors in lexicographic order, vacuum first."""
         return itertools.product(range(self.cutoff + 1), repeat=self.mode_count)
 
     def vacuum_occupation(self) -> Occupation:
         return (0,) * self.mode_count
+
+
+@functools.cache
+def _place_values(cutoff: int, width: int) -> np.ndarray:
+    """Rank weight (cutoff + 1)^(width - 1 - i) of position i of an occupation."""
+    places = (cutoff + 1) ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    places.flags.writeable = False
+    return places
+
+
+@functools.cache
+def _split_places(cutoff: int, mode_count: int, kept: tuple[int, ...]) -> np.ndarray:
+    """Place values of the kept modes (column 0) and of the rest (column 1)."""
+    rest = [m for m in range(mode_count) if m not in kept]
+    places = np.zeros((mode_count, 2), dtype=np.int64)
+    places[list(kept), 0] = _place_values(cutoff, len(kept))
+    places[rest, 1] = _place_values(cutoff, len(rest))
+    places.flags.writeable = False
+    return places
 
 
 @dataclass(frozen=True)
@@ -103,13 +142,17 @@ class ModeSubset:
 class StateVector:
     """Sparse complex superposition over occupation-number basis states.
 
-    Treated as immutable after construction.  ``leakage`` accumulates the
-    squared magnitudes of contributions dropped past the cutoff by
-    operator applications; it is a truncation-quality monitor, not part
-    of the state.  A NaN or infinite amplitude raises ValueError.
+    Held as two arrays: the sorted lexicographic ranks of the occupied
+    basis states (``layout.index_of``, which is also the dense index) and
+    their complex128 amplitudes.  Treated as immutable after construction.
+    ``leakage`` accumulates the squared magnitudes of contributions
+    dropped past the cutoff by operator applications; it is a
+    truncation-quality monitor, not part of the state.  An occupation
+    outside the layout, or a NaN or infinite amplitude, raises ValueError;
+    amplitudes of modulus at most ``prune`` are dropped.
     """
 
-    __slots__ = ("layout", "_amp", "leakage")
+    __slots__ = ("layout", "_ranks", "_amps", "leakage")
 
     def __init__(
         self,
@@ -118,20 +161,63 @@ class StateVector:
         leakage: float = 0.0,
         prune: float = PRUNE_EPS,
     ) -> None:
+        keys = list(amplitudes)
+        try:
+            occ = np.array(keys, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"occupations outside layout {layout}: {exc}") from exc
+        if not keys:
+            occ = occ.reshape(0, layout.mode_count)
+        elif occ.ndim != 2 or occ.shape[1] != layout.mode_count:
+            raise ValueError(f"occupation {keys[0]} outside layout {layout}")
+        outside = ((occ < 0) | (occ > layout.cutoff)).any(axis=1)
+        if outside.any():
+            bad = tuple(occ[int(np.argmax(outside))].tolist())
+            raise ValueError(f"occupation {bad} outside layout {layout}")
+        ranks = layout.ranks_of(occ)
+        order = np.argsort(ranks)
+        ranks = ranks[order]
+        if np.any(ranks[1:] == ranks[:-1]):
+            raise ValueError("duplicate occupation in amplitudes")
+        values = np.array(list(amplitudes.values()), dtype=np.complex128)
+        self._assign(layout, ranks, values[order], leakage, prune)
+
+    @classmethod
+    def _from_ranks(
+        cls,
+        layout: ModeLayout,
+        ranks: np.ndarray,
+        amplitudes: np.ndarray,
+        leakage: float = 0.0,
+        prune: float = PRUNE_EPS,
+    ) -> "StateVector":
+        """State from sorted, distinct, in-layout ranks and their amplitudes."""
+        state = cls.__new__(cls)
+        state._assign(layout, ranks, amplitudes, leakage, prune)
+        return state
+
+    def _assign(
+        self,
+        layout: ModeLayout,
+        ranks: np.ndarray,
+        amplitudes: np.ndarray,
+        leakage: float,
+        prune: float,
+    ) -> None:
+        size = np.hypot(amplitudes.real, amplitudes.imag)
+        # "not <" so that NaN, which fails every comparison, is refused too.
+        if not size.max(initial=0.0) < math.inf:
+            i = int(np.argmin(size < math.inf))
+            raise ValueError(
+                f"non-finite amplitude {amplitudes[i]} at occupation "
+                f"{layout.occupation_of(int(ranks[i]))}"
+            )
+        kept = size > prune
         self.layout = layout
-        amp: dict[Occupation, complex] = {}
-        for occ, value in amplitudes.items():
-            occ = tuple(int(n) for n in occ)
-            if not layout.contains(occ):
-                raise ValueError(f"occupation {occ} outside layout {layout}")
-            c = complex(value)
-            size = abs(c)
-            # "not <" so that NaN, which fails every comparison, is refused too.
-            if not size < math.inf:
-                raise ValueError(f"non-finite amplitude {c} at occupation {occ}")
-            if size > prune:
-                amp[occ] = c
-        self._amp = amp
+        self._ranks = ranks[kept]
+        self._amps = amplitudes[kept]
+        self._ranks.flags.writeable = False
+        self._amps.flags.writeable = False
         self.leakage = float(leakage)
 
     @classmethod
@@ -140,36 +226,58 @@ class StateVector:
 
     @classmethod
     def from_occupation(cls, layout: ModeLayout, occ: Iterable[int]) -> "StateVector":
-        return cls(layout, {tuple(int(n) for n in occ): 1.0})
+        occ = tuple(int(n) for n in occ)
+        if not layout.contains(occ):
+            raise ValueError(f"occupation {occ} outside layout {layout}")
+        rank = np.array([layout.index_of(occ)], dtype=np.int64)
+        return cls._from_ranks(layout, rank, np.ones(1, dtype=np.complex128))
 
     @classmethod
     def from_dense(
         cls, layout: ModeLayout, vec: np.ndarray, leakage: float = 0.0
     ) -> "StateVector":
-        vec = np.asarray(vec)
+        vec = np.asarray(vec, dtype=np.complex128)
         if vec.shape != (layout.basis_size,):
             raise ValueError("dense vector has wrong dimension for layout")
-        amp = {
-            layout.occupation_of(i): vec[i]
-            for i in np.flatnonzero(np.abs(vec) > PRUNE_EPS)
-        }
-        return cls(layout, amp, leakage=leakage)
+        ranks = np.flatnonzero(vec)
+        return cls._from_ranks(layout, ranks, vec[ranks], leakage=leakage)
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """Sorted lexicographic ranks (dense indices) of the terms; read-only."""
+        return self._ranks
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """complex128 amplitudes aligned with :attr:`ranks`; read-only."""
+        return self._amps
+
+    def occupations(self) -> np.ndarray:
+        """Occupation rows of the terms, in rank order."""
+        return self.layout.occupations_of(self._ranks)
 
     def items(self) -> list[tuple[Occupation, complex]]:
         """Amplitude terms sorted lexicographically (deterministic reductions)."""
-        return sorted(self._amp.items())
+        return list(zip(self.support(), self._amps.tolist()))
 
     def support(self) -> tuple[Occupation, ...]:
-        return tuple(sorted(self._amp))
+        return tuple(map(tuple, self.occupations().tolist()))
 
     def amplitude(self, occ: Iterable[int]) -> complex:
-        return self._amp.get(tuple(int(n) for n in occ), 0.0 + 0.0j)
+        occ = tuple(int(n) for n in occ)
+        if not self.layout.contains(occ):
+            return 0.0 + 0.0j
+        rank = self.layout.index_of(occ)
+        i = int(np.searchsorted(self._ranks, rank))
+        if i < self._ranks.size and self._ranks[i] == rank:
+            return complex(self._amps[i])
+        return 0.0 + 0.0j
 
     def __len__(self) -> int:
-        return len(self._amp)
+        return int(self._ranks.size)
 
     def norm_squared(self) -> float:
-        return math.fsum(abs(c) ** 2 for _, c in self.items())
+        return math.fsum(_abs2(self._amps).tolist())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
@@ -184,33 +292,84 @@ class StateVector:
         return self.scaled(1.0 / n)
 
     def scaled(self, factor: complex) -> "StateVector":
-        return StateVector(
-            self.layout,
-            {occ: factor * c for occ, c in self._amp.items()},
-            leakage=self.leakage,
+        return StateVector._from_ranks(
+            self.layout, self._ranks, _cmul(self._amps, complex(factor)), self.leakage
         )
 
     def add(self, other: "StateVector") -> "StateVector":
         if other.layout != self.layout:
             raise ValueError("layout mismatch")
-        amp = dict(self._amp)
-        for occ, c in other.items():
-            amp[occ] = amp.get(occ, 0.0) + c
-        return StateVector(self.layout, amp, leakage=self.leakage + other.leakage)
+        ranks, slots = _unique_slots(np.concatenate([self._ranks, other._ranks]))
+        amps = _sum_by(slots, np.concatenate([self._amps, other._amps]), ranks.size)
+        return StateVector._from_ranks(
+            self.layout, ranks, amps, leakage=self.leakage + other.leakage
+        )
 
     def max_occupation(self) -> int:
-        return max((max(occ) for occ in self._amp), default=0)
+        return int(self.occupations().max(initial=0))
 
     def to_dense(self) -> np.ndarray:
         vec = np.zeros(self.layout.basis_size, dtype=np.complex128)
-        for occ, c in self._amp.items():
-            vec[self.layout.index_of(occ)] = c
+        vec[self._ranks] = self._amps
         return vec
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         terms = ", ".join(f"{occ}: {c:.4g}" for occ, c in self.items()[:6])
-        more = "" if len(self._amp) <= 6 else ", ..."
+        more = "" if len(self) <= 6 else ", ..."
         return f"StateVector({terms}{more})"
+
+
+def _cmul(a: np.ndarray, b) -> np.ndarray:
+    """Elementwise complex product rounded as Python's ``complex * complex``.
+
+    numpy's own complex multiply may fuse multiply-adds and then differs in
+    the last bit; the first-order route keeps the bits of plain arithmetic.
+    """
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    re = ar * br - ai * bi
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real = re
+    out.imag = ar * bi + ai * br
+    return out
+
+
+def _abs2(a: np.ndarray) -> np.ndarray:
+    """|a|^2 rounded as Python's ``abs(c) ** 2`` (hypot, then libm pow)."""
+    return np.float_power(np.hypot(a.real, a.imag), 2.0)
+
+
+def _lookup(ranks: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``queries`` in the sorted ``ranks``, and which are present."""
+    if not ranks.size:
+        return np.zeros(queries.size, dtype=np.intp), np.zeros(queries.size, dtype=bool)
+    pos = np.minimum(np.searchsorted(ranks, queries), ranks.size - 1)
+    return pos, ranks[pos] == queries
+
+
+def _unique_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values and each entry's slot among them.
+
+    ``np.unique(values, return_inverse=True)`` without its fixed overhead,
+    which dominates on the few-term states of scans and the optimizer.
+    """
+    ordered = np.sort(values)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    return distinct, np.searchsorted(distinct, values)
+
+
+def _sum_by(slots: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """Complex sums of ``values`` grouped by ``slots``, each added in order from 0.
+
+    ``np.bincount`` adds sequentially, as a Python accumulation loop does;
+    ``np.sum`` adds pairwise and rounds differently.
+    """
+    out = np.empty(count, dtype=np.complex128)
+    out.real = np.bincount(slots, values.real, count)
+    out.imag = np.bincount(slots, values.imag, count)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,47 +408,50 @@ def create(state: StateVector, mode: int) -> StateVector:
     squared norm added to the result's leakage counter.
     """
     _check_mode(state.layout, mode)
-    amp: dict[Occupation, complex] = {}
-    lost = 0.0
-    for occ, c in state.items():
-        n = occ[mode]
-        if n + 1 > state.layout.cutoff:
-            lost += abs(c) ** 2
-            continue
-        new = occ[:mode] + (n + 1,) + occ[mode + 1 :]
-        amp[new] = amp.get(new, 0.0) + c * math.sqrt(n + 1)
-    return StateVector(state.layout, amp, leakage=state.leakage + lost)
+    n = state.occupations()[:, mode]
+    amps = state.amplitudes * np.sqrt(n + 1)
+    fits = n < state.layout.cutoff
+    lost = float(_abs2(state.amplitudes[~fits]).sum())
+    # Raising one digit adds the same rank step to every term: order is kept.
+    step = _place_values(state.layout.cutoff, state.layout.mode_count)[mode]
+    return StateVector._from_ranks(
+        state.layout, state.ranks[fits] + step, amps[fits], state.leakage + lost
+    )
 
 
 def annihilate(state: StateVector, mode: int) -> StateVector:
     """Apply the annihilation operator for one mode; amplitude factor sqrt(n)."""
     _check_mode(state.layout, mode)
-    amp: dict[Occupation, complex] = {}
-    for occ, c in state.items():
-        n = occ[mode]
-        if n == 0:
-            continue
-        new = occ[:mode] + (n - 1,) + occ[mode + 1 :]
-        amp[new] = amp.get(new, 0.0) + c * math.sqrt(n)
-    return StateVector(state.layout, amp, leakage=state.leakage)
+    n = state.occupations()[:, mode]
+    fits = n > 0
+    step = _place_values(state.layout.cutoff, state.layout.mode_count)[mode]
+    return StateVector._from_ranks(
+        state.layout,
+        state.ranks[fits] - step,
+        state.amplitudes[fits] * np.sqrt(n[fits]),
+        state.leakage,
+    )
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> with conjugation on the first argument."""
+    """<a|b> with conjugation on the first argument.
+
+    The products of the shared terms are added in rank order.
+    """
     if a.layout != b.layout:
         raise ValueError("layout mismatch")
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    total = 0.0 + 0.0j
-    for occ, _ in small.items():
-        total += a.amplitude(occ).conjugate() * b.amplitude(occ)
-    return total
+    pos, shared = _lookup(b.ranks, a.ranks)
+    products = _cmul(a.amplitudes[shared].conj(), b.amplitudes[pos[shared]])
+    # cumsum adds left to right, as a Python loop does (np.sum is pairwise).
+    return complex(np.cumsum(products)[-1]) if products.size else 0.0 + 0.0j
 
 
 def average_particle_number(state: StateVector) -> float:
     """Mean total occupation sum_basis |c|^2 * (sum_m n_m) of a normalized state."""
     if abs(state.norm_squared() - 1.0) > 1e-9:
         raise ValueError("average_particle_number requires a normalized state")
-    return math.fsum(abs(c) ** 2 * sum(occ) for occ, c in state.items())
+    totals = state.occupations().sum(axis=1)
+    return math.fsum((_abs2(state.amplitudes) * totals).tolist())
 
 
 def enumerate_complement_basis(

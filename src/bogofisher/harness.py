@@ -20,13 +20,14 @@ from scipy.optimize import brentq, least_squares, minimize
 
 from .bogoliubov import BogoliubovFirstOrder, is_json_int
 from .errors import ModelFormatError, SupportError
-from .fock import ModeLayout, ModeSubset, StateVector, average_particle_number
+from .fock import ModeLayout, ModeSubset, StateVector, _lookup, average_particle_number
 from .oracle import generator_from_model, qfi_fidelity_pure
 from .perturb import transform_first_order, validity_check
 from .qfi import (
     DEFAULT_THETA,
     _clamp_nonnegative,
     _complement_reference,
+    _pair_and_loss,
     overlap_penalty,
     qfi_fock_closed,
     qfi_pure,
@@ -124,10 +125,13 @@ def scan_fock(
             closed = qfi_fock_closed(model, n, k, theta=theta).qfi
         else:
             closed = qfi_two_mode_closed(model, n, k, m, kprime, theta=theta).qfi
-        pair = transform_first_order(model, state)
+        # One transform serves both the pure QFI and the tracing loss.
+        if keep is None:
+            pair, loss = transform_first_order(model, state), None
+        else:
+            pair, loss = _pair_and_loss(model, state, keep)
         perturb_value = qfi_pure(pair)
         estimate = qfi_fidelity_pure(generator, state, dtheta=dtheta)
-        loss = tracing_loss(model, state, keep) if keep is not None else None
         ratio, _ = validity_check(theta, perturb_value)
         return ScanRow(
             n=n,
@@ -422,41 +426,38 @@ def _support_score(
     over the complement occupations of the rows other than the reference,
     and row r of L picks the psi0 amplitude whose kept part is that of r.
     """
+    support_occ = np.array(support, dtype=np.int64)
     if keep is not None:
         keep.validate_for(layout)
-        comp = keep.complement(layout.mode_count)
-        reference = _complement_reference(support, comp)
+        support_kept, support_comp = layout.subset_ranks(support_occ, keep)
+        reference = _complement_reference(support_comp)
     pairs = [
         transform_first_order(model, StateVector.from_occupation(layout, occ))
         for occ in support
     ]
-    rows = sorted(
-        {occ for pair in pairs for occ in pair.psi0.support() + pair.psi1.support()}
-    )
-    row_of = {occ: r for r, occ in enumerate(rows)}
-    p0 = np.zeros((len(rows), len(support)), dtype=np.complex128)
+    rows = np.unique(np.concatenate([s.ranks for p in pairs for s in (p.psi0, p.psi1)]))
+    p0 = np.zeros((rows.size, len(support)), dtype=np.complex128)
     m1 = np.zeros_like(p0)
     for j, pair in enumerate(pairs):
-        for occ, amp in pair.psi0.items():
-            p0[row_of[occ], j] = amp
-        for occ, amp in pair.psi1.items():
-            m1[row_of[occ], j] = amp
+        p0[np.searchsorted(rows, pair.psi0.ranks), j] = pair.psi0.amplitudes
+        m1[np.searchsorted(rows, pair.psi1.ranks), j] = pair.psi1.amplitudes
 
     lift = gather = None
     if keep is not None:
-        support_of = {
-            tuple(occ[m] for m in keep.indices): j for j, occ in enumerate(support)
-        }
-        groups = sorted({tuple(occ[m] for m in comp) for occ in rows} - {reference})
-        group_of = {g: i for i, g in enumerate(groups)}
+        row_kept, row_comp = layout.subset_ranks(layout.occupations_of(rows), keep)
+        # The support shares one complement occupation, so a kept part
+        # names at most one support state j.
+        order = np.argsort(support_kept)
+        pos, found = _lookup(support_kept[order], row_kept)
+        r = np.flatnonzero(found & (row_comp != reference))
+        j = order[pos[r]]
+        own_rows = np.searchsorted(rows, layout.ranks_of(support_occ))
+        own = p0[own_rows, np.arange(len(support))]  # psi0 amplitude of each j
         lift = np.zeros_like(p0)
-        gather = np.zeros((len(groups), len(rows)), dtype=np.complex128)
-        for r, occ in enumerate(rows):
-            g = group_of.get(tuple(occ[m] for m in comp))
-            j = support_of.get(tuple(occ[m] for m in keep.indices))
-            if g is not None and j is not None:
-                lift[r, j] = p0[row_of[support[j]], j]
-                gather[g, r] = 1.0
+        lift[r, j] = own[j]
+        groups = np.unique(row_comp[row_comp != reference])
+        gather = np.zeros((groups.size, rows.size), dtype=np.complex128)
+        gather[np.searchsorted(groups, row_comp[r]), r] = 1.0
 
     def score(c: np.ndarray) -> float:
         psi1 = m1 @ c
@@ -545,7 +546,9 @@ def load_state_document(
             raise ModelFormatError(
                 f"occupation length {len(occ)} does not match {layout.mode_count} modes"
             )
-        if not layout.contains(occ):
+        if min(occ) < 0:
+            raise ModelFormatError(f"negative occupation in {occ}")
+        if max(occ) > layout.cutoff:
             raise ModelFormatError(f"occupation {occ} exceeds cutoff {layout.cutoff}")
         if occ in amplitudes:
             raise ModelFormatError(f"duplicate state entry for occupation {occ}")

@@ -17,14 +17,22 @@ trivial phases this gives K|0> = -(1/sqrt 2)|2>.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bogoliubov import BogoliubovFirstOrder, ensure_validated
 from .errors import BudgetError, UnitarityError
-from .fock import StateVector, inner_product
+from .fock import (
+    ModeLayout,
+    StateVector,
+    _abs2,
+    _cmul,
+    _sum_by,
+    _unique_slots,
+    inner_product,
+)
 
 VALIDITY_THRESHOLD = 0.01
 CUTOFF_HEADROOM = 2
@@ -94,88 +102,98 @@ def build_generator(model: BogoliubovFirstOrder) -> GeneratorK:
     return gen
 
 
+@functools.cache
+def _ladder_rows(modes: int, cutoff: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Every possible row of K on a layout, in the order terms are summed.
+
+    Row e maps |occ> to
+    coeff_e * scale_e * sqrt((occ[a_e] + da_e) (occ[b_e] + db_e)) |occ + shift_e>;
+    the square root is zero exactly where the row lowers an empty mode.
+    The rows are the number entries a_m^dag a_n in (m, n) order, then for
+    each pair p <= q in (p, q) order its creation row C_pq a_p^dag a_q^dag
+    and its annihilation row -conj(C_pq) a_p a_q.  For p < q the symmetric
+    pair contributes twice, cancelling the 1/2 of (1/2) sum_pq; the
+    diagonal keeps it.  Returns the integer table with columns
+    [a, b, da, db, rank step of shift], the scales, and the (p, q) index
+    arrays of the pairs.
+    """
+    eye = np.eye(modes, dtype=np.int64)
+    m, n = np.divmod(np.arange(modes * modes), modes)
+    p, q = np.triu_indices(modes)
+    diag = (p == q).astype(np.int64)
+    zeros, ones = np.zeros_like(p), np.ones_like(p)
+    number = np.column_stack([n, m, np.zeros_like(n), m != n, eye[m] - eye[n]])
+    create = np.column_stack([p, q, ones, 1 + diag, eye[p] + eye[q]])
+    annihilate = np.column_stack([p, q, zeros, -diag, -(eye[p] + eye[q])])
+    pairs = np.stack([create, annihilate], axis=1).reshape(-1, 4 + modes)
+    rows = np.concatenate([number, pairs])
+    table = np.column_stack([rows[:, :4], ModeLayout(modes, cutoff).ranks_of(rows[:, 4:])])
+    scale = np.concatenate([np.ones(m.size), np.repeat(np.where(diag, 0.5, 1.0), 2)])
+    for array in (table, scale):
+        array.flags.writeable = False
+    return table, scale, (p, q)
+
+
 def apply_generator(gen: GeneratorK, state: StateVector) -> StateVector:
-    """Sparse application of K to a state; over-cutoff terms leak."""
+    """Sparse application of K to a state; over-cutoff terms leak.
+
+    Every (term, nonzero row) contribution is formed at once.  The
+    contributions to one output occupation are added in the order input
+    terms (lexicographic), then rows, with the rounding of scalar complex
+    arithmetic.
+    """
     layout = state.layout
-    if gen.mode_count != layout.mode_count:
+    modes = layout.mode_count
+    if gen.mode_count != modes:
         raise ValueError("generator and state have different mode counts")
-    cutoff = layout.cutoff
-    number_entries = [
-        (m, n, gen.number[m, n])
-        for m in range(gen.mode_count)
-        for n in range(gen.mode_count)
-        if gen.number[m, n] != 0
-    ]
-    pair_entries = [
-        (p, q, gen.pair_create[p, q])
-        for p in range(gen.mode_count)
-        for q in range(p, gen.mode_count)
-        if gen.pair_create[p, q] != 0
-    ]
-    amp: dict[tuple[int, ...], complex] = {}
-    lost = 0.0
-
-    def accumulate(occ: tuple[int, ...], value: complex) -> None:
-        nonlocal lost
-        if max(occ) > cutoff:
-            lost += abs(value) ** 2
-            return
-        amp[occ] = amp.get(occ, 0.0) + value
-
-    for occ, c in state.items():
-        for m, n, coeff in number_entries:
-            if occ[n] == 0:
-                continue
-            if m == n:
-                accumulate(occ, c * coeff * occ[n])
-            else:
-                factor = math.sqrt(occ[n] * (occ[m] + 1))
-                new = list(occ)
-                new[n] -= 1
-                new[m] += 1
-                accumulate(tuple(new), c * coeff * factor)
-        for p, q, coeff in pair_entries:
-            # creation: for p < q the symmetric pair contributes twice,
-            # cancelling the 1/2; the diagonal keeps it.
-            if p == q:
-                up = c * coeff * 0.5 * math.sqrt((occ[p] + 1) * (occ[p] + 2))
-                new = list(occ)
-                new[p] += 2
-                accumulate(tuple(new), up)
-                if occ[p] >= 2:
-                    down = -c * coeff.conjugate() * 0.5 * math.sqrt(
-                        occ[p] * (occ[p] - 1)
-                    )
-                    new = list(occ)
-                    new[p] -= 2
-                    accumulate(tuple(new), down)
-            else:
-                up = c * coeff * math.sqrt((occ[p] + 1) * (occ[q] + 1))
-                new = list(occ)
-                new[p] += 1
-                new[q] += 1
-                accumulate(tuple(new), up)
-                if occ[p] >= 1 and occ[q] >= 1:
-                    down = -c * coeff.conjugate() * math.sqrt(occ[p] * occ[q])
-                    new = list(occ)
-                    new[p] -= 1
-                    new[q] -= 1
-                    accumulate(tuple(new), down)
-    return StateVector(layout, amp, leakage=state.leakage + lost)
+    table, scale, upper = _ladder_rows(modes, layout.cutoff)
+    pair = gen.pair_create[upper]
+    coeff = np.empty(len(table), dtype=np.complex128)
+    coeff[: modes * modes] = gen.number.ravel()
+    coeff[modes * modes :: 2] = pair
+    coeff[modes * modes + 1 :: 2] = -pair.conj()
+    nonzero = np.flatnonzero(coeff)
+    rows, coeff, scale = table[nonzero], coeff[nonzero], scale[nonzero]
+    # The offsets of a creation row are its raised occupations, so the
+    # largest lifted entry is the largest output occupation that can
+    # pass the cutoff (every other mode keeps or lowers its occupation).
+    lifted = state.occupations()[:, rows[:, :2]] + rows[:, 2:4]  # (terms, rows, 2)
+    factor = np.sqrt(lifted.prod(axis=2))
+    value = _cmul(state.amplitudes[:, None], coeff) * scale * factor
+    live = factor > 0.0
+    over = lifted.max(axis=2) > layout.cutoff
+    lost = float(_abs2(value[live & over]).sum()) if over.any() else 0.0
+    kept = live & ~over
+    ranks, slots = _unique_slots((state.ranks[:, None] + rows[:, 4])[kept])
+    amps = _sum_by(slots, value[kept], ranks.size)
+    return StateVector._from_ranks(layout, ranks, amps, state.leakage + lost)
 
 
 def free_evolution(model: BogoliubovFirstOrder, state: StateVector) -> StateVector:
     """Multiply each basis term by prod_n G_n^occupation."""
-    if model.mode_count != state.layout.mode_count:
+    return _free_evolution(model, [state])[0]
+
+
+def _free_evolution(
+    model: BogoliubovFirstOrder, states: list[StateVector]
+) -> list[StateVector]:
+    """:func:`free_evolution` of states on one layout, in one pass over the modes."""
+    layout = states[0].layout
+    if model.mode_count != layout.mode_count:
         raise ValueError("model and state have different mode counts")
-    amp = {}
-    for occ, c in state.items():
-        phase = 1.0 + 0.0j
-        for n, g in zip(occ, model.G):
-            if n:
-                phase *= g**n
-        amp[occ] = c * phase
-    return StateVector(state.layout, amp, leakage=state.leakage)
+    ranks = np.concatenate([s.ranks for s in states])
+    factors = np.power(model.G, layout.occupations_of(ranks))
+    # G**0 = 1 multiplies exactly, so empty modes need not be skipped.
+    phase = factors[:, 0]
+    for column in factors.T[1:]:
+        phase = _cmul(phase, column)
+    amps = _cmul(np.concatenate([s.amplitudes for s in states]), phase)
+    out, start = [], 0
+    for s in states:
+        stop = start + len(s)
+        out.append(StateVector._from_ranks(layout, s.ranks, amps[start:stop], s.leakage))
+        start = stop
+    return out
 
 
 def transform_first_order(
@@ -200,8 +218,7 @@ def transform_first_order(
         raise BudgetError(
             f"first-order truncation leakage {k_psi.leakage:.3e} exceeds budget"
         )
-    psi0 = free_evolution(model, state)
-    psi1 = free_evolution(model, k_psi)
+    psi0, psi1 = _free_evolution(model, [state, k_psi])
     return FirstOrderPair(psi0, psi1)
 
 

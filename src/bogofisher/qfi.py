@@ -18,7 +18,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +27,11 @@ from .fock import (
     DensityOperator,
     ModeSubset,
     StateVector,
+    _abs2,
+    _cmul,
+    _lookup,
+    _sum_by,
+    _unique_slots,
     inner_product,
 )
 from .perturb import FirstOrderPair, transform_first_order, validity_check
@@ -97,42 +101,32 @@ def qfi_pure_report(pair: FirstOrderPair, theta: float = DEFAULT_THETA) -> QfiRe
     )
 
 
-def _complement_reference(
-    support: Sequence[tuple[int, ...]], comp: tuple[int, ...]
-) -> tuple[int, ...]:
-    """The complement occupation shared by every support state."""
-    references = {tuple(occ[m] for m in comp) for occ in support}
-    if len(references) != 1:
+def _complement_reference(complement_ranks: np.ndarray) -> int:
+    """The complement rank shared by every support state."""
+    if not complement_ranks.size or (complement_ranks != complement_ranks[0]).any():
         raise SupportError(
             "state support outside keep: the complement occupation varies "
             "across the superposition, so the reduced zeroth-order state is "
             "not pure"
         )
-    return references.pop()
+    return int(complement_ranks[0])
 
 
 def _pair_and_loss(
     model: BogoliubovFirstOrder, state: StateVector, keep: ModeSubset
 ) -> tuple[FirstOrderPair, float]:
-    keep.validate_for(state.layout)
-    comp = keep.complement(state.layout.mode_count)
-    reference = _complement_reference(state.support(), comp)
+    layout = state.layout
+    keep.validate_for(layout)
+    reference = _complement_reference(layout.subset_ranks(state.occupations(), keep)[1])
     pair = transform_first_order(model, state)
-    kept = keep.indices
-    psi0_k = {
-        tuple(occ[m] for m in kept): amp for occ, amp in pair.psi0.items()
-    }
-    projected: dict[tuple[int, ...], complex] = {}
-    for occ, amp in pair.psi1.items():
-        k_part = tuple(occ[m] for m in kept)
-        weight = psi0_k.get(k_part)
-        if weight is None:
-            continue
-        c_part = tuple(occ[m] for m in comp)
-        projected[c_part] = projected.get(c_part, 0.0) + weight.conjugate() * amp
-    loss = 4.0 * math.fsum(
-        abs(v) ** 2 for c_part, v in sorted(projected.items()) if c_part != reference
-    )
+    # psi0 shares one complement occupation, so its kept ranks are sorted.
+    kept0, _ = layout.subset_ranks(pair.psi0.occupations(), keep)
+    kept1, comp1 = layout.subset_ranks(pair.psi1.occupations(), keep)
+    pos, hit = _lookup(kept0, kept1)
+    products = _cmul(pair.psi0.amplitudes[pos[hit]].conj(), pair.psi1.amplitudes[hit])
+    groups, slots = _unique_slots(comp1[hit])
+    projected = _sum_by(slots, products, groups.size)
+    loss = 4.0 * math.fsum(_abs2(projected[groups != reference]).tolist())
     return pair, loss
 
 

@@ -319,3 +319,87 @@ def golden_two_mode(
 
 def state_distance(a: StateVector, b: StateVector) -> float:
     return a.add(b.scaled(-1.0)).norm()
+
+
+def loop_first_order(model: BogoliubovFirstOrder, state: StateVector, keep=None):
+    """Term-by-term loop reference for the first-order route.
+
+    Returns the psi0 and psi1 terms as sorted ``(occupation, amplitude)``
+    lists and, with ``keep``, the tracing loss.  Each amplitude is built
+    with scalar arithmetic and summed in lexicographic term order, then
+    generator-entry order, which is the rounding the vectorized route keeps.
+    """
+    from bogofisher import build_generator
+    from bogofisher.fock import PRUNE_EPS
+
+    gen = build_generator(model)
+    modes, cutoff = gen.mode_count, state.layout.cutoff
+    k_psi: dict[tuple[int, ...], complex] = {}
+
+    def accumulate(occ, value):
+        if max(occ) <= cutoff:
+            k_psi[occ] = k_psi.get(occ, 0.0) + value
+
+    def shifted(occ, *changes):
+        new = list(occ)
+        for mode, delta in changes:
+            new[mode] += delta
+        return tuple(new)
+
+    for occ, c in state.items():
+        for m in range(modes):
+            for n in range(modes):
+                coeff = gen.number[m, n]
+                if coeff == 0 or occ[n] == 0:
+                    continue
+                if m == n:
+                    accumulate(occ, c * coeff * occ[n])
+                else:
+                    factor = math.sqrt(occ[n] * (occ[m] + 1))
+                    accumulate(shifted(occ, (n, -1), (m, 1)), c * coeff * factor)
+        for p in range(modes):
+            for q in range(p, modes):
+                coeff = gen.pair_create[p, q]
+                if coeff == 0:
+                    continue
+                if p == q:
+                    up = c * coeff * 0.5 * math.sqrt((occ[p] + 1) * (occ[p] + 2))
+                    accumulate(shifted(occ, (p, 2)), up)
+                    if occ[p] >= 2:
+                        down = -c * coeff.conjugate() * 0.5 * math.sqrt(occ[p] * (occ[p] - 1))
+                        accumulate(shifted(occ, (p, -2)), down)
+                else:
+                    up = c * coeff * math.sqrt((occ[p] + 1) * (occ[q] + 1))
+                    accumulate(shifted(occ, (p, 1), (q, 1)), up)
+                    if occ[p] >= 1 and occ[q] >= 1:
+                        down = -c * coeff.conjugate() * math.sqrt(occ[p] * occ[q])
+                        accumulate(shifted(occ, (p, -1), (q, -1)), down)
+
+    def evolved(terms):
+        out = []
+        for occ, c in sorted(terms):
+            phase = 1.0 + 0.0j
+            for n, g in zip(occ, model.G):
+                if n:
+                    phase *= g**n
+            value = complex(c * phase)
+            if abs(value) > PRUNE_EPS:
+                out.append((occ, value))
+        return out
+
+    k_terms = [(occ, complex(c)) for occ, c in k_psi.items() if abs(complex(c)) > PRUNE_EPS]
+    psi0, psi1 = evolved(state.items()), evolved(k_terms)
+    if keep is None:
+        return psi0, psi1, None
+    kept = keep.indices
+    comp = keep.complement(modes)
+    (reference,) = {tuple(occ[m] for m in comp) for occ, _ in psi0}
+    psi0_k = {tuple(occ[m] for m in kept): amp for occ, amp in psi0}
+    projected: dict[tuple[int, ...], complex] = {}
+    for occ, amp in psi1:
+        weight = psi0_k.get(tuple(occ[m] for m in kept))
+        if weight is not None:
+            part = tuple(occ[m] for m in comp)
+            projected[part] = projected.get(part, 0.0) + weight.conjugate() * amp
+    loss = 4.0 * math.fsum(abs(v) ** 2 for part, v in projected.items() if part != reference)
+    return psi0, psi1, loss

@@ -353,3 +353,47 @@ def test_bool_occupation_exits_two(command, tms_doc, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert _single_error_line(captured.err)["error"] == "ModelFormatError"
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"modes": 2, "beta1": [[0, 1, [1], 0.0]]},
+        {"modes": 2, "alpha1": [[0, 1, 0.0, {"im": 1}]]},
+        {"modes": 2, "G": [["x", 0.0], [1.0, 0.0]]},
+        {"modes": 2, "G": [[1.0, None], [1.0, 0.0]]},
+        {"modes": 2, "beta1": [[0, 0, "1.5", 0.0]]},
+        {"modes": 2, "beta1": [[0, 0, True, 0.0]]},
+        {"modes": 2, "beta1": [[0, 0, 10**400, 0.0]]},
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "qfi"])
+def test_non_numeric_coefficient_exits_two(model, command, tmp_path, capsys):
+    path = write_json(tmp_path / "model.json", model)
+    state = write_json(tmp_path / "state.json", [{"occ": [0, 0], "re": 1.0}])
+    argv = ["validate", path] if command == "validate" else ["qfi", path, "--state", state]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = _single_error_line(captured.err)
+    assert error["error"] == "ModelFormatError"
+    assert "must be numbers" in error["message"]
+
+
+def test_non_numeric_coefficient_fresh_process(tmp_path):
+    path = write_json(tmp_path / "model.json", {"modes": 2, "beta1": [[0, 1, [1], 0.0]]})
+    code, out, err = _fresh_process(["validate", path])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert _single_error_line(err)["error"] == "ModelFormatError"
+
+
+def test_negative_occupation_is_not_reported_as_cutoff(tms_doc, tmp_path, capsys):
+    state = write_json(tmp_path / "state.json", [{"occ": [-1, 0], "re": 1.0, "im": 0.0}])
+    assert cli_main(["qfi", tms_doc, "--state", state]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = _single_error_line(captured.err)
+    assert error["error"] == "ModelFormatError"
+    assert "negative occupation" in error["message"]
+    assert "cutoff" not in error["message"]

@@ -20,6 +20,8 @@ from bogofisher import (
     partial_trace,
 )
 
+from bogofisher.fock import PRUNE_EPS
+
 from helpers import random_state
 
 
@@ -229,3 +231,44 @@ def test_state_vector_refuses_non_finite_amplitude(value):
         StateVector(layout, {(0, 0): 1.0, (1, 0): value})
     with pytest.raises(ValueError, match="non-finite"):
         StateVector(layout, {(1, 0): value}, prune=0.0)
+
+
+@pytest.mark.parametrize(
+    "occ",
+    [(-1, 0), (0, 4), (1,), (1, 0, 0)],
+    ids=["negative", "above_cutoff", "too_short", "too_long"],
+)
+def test_state_vector_refuses_occupation_outside_layout(occ):
+    layout = ModeLayout(2, 3)
+    with pytest.raises(ValueError, match="outside layout"):
+        StateVector(layout, {(0, 0): 0.5, occ: 0.5})
+    with pytest.raises(ValueError, match="outside layout"):
+        StateVector(layout, {occ: 1.0})
+
+
+def test_state_vector_prunes_at_prune_eps():
+    layout = ModeLayout(2, 3)
+    state = StateVector(
+        layout,
+        {(0, 0): 1.0, (1, 0): PRUNE_EPS, (0, 1): 1j * PRUNE_EPS, (1, 1): 2 * PRUNE_EPS},
+    )
+    assert state.support() == ((0, 0), (1, 1))
+    assert len(StateVector(layout, {(1, 0): PRUNE_EPS}, prune=0.0)) == 1
+    assert len(StateVector(layout, {(1, 0): 0.0}, prune=0.0)) == 0
+    dense = np.zeros(layout.basis_size, dtype=complex)
+    dense[[0, 1, 2]] = [1.0, PRUNE_EPS, 2 * PRUNE_EPS]
+    assert StateVector.from_dense(layout, dense).support() == ((0, 0), (0, 2))
+
+
+def test_state_vector_arrays_are_sorted_ranks_and_amplitudes():
+    layout = ModeLayout(2, 3)
+    state = StateVector(layout, {(2, 1): 3.0, (0, 1): 1.0, (1, 0): 2j})
+    assert state.ranks.tolist() == [layout.index_of(o) for o in [(0, 1), (1, 0), (2, 1)]]
+    assert state.amplitudes.tolist() == [1.0, 2j, 3.0]
+    assert state.items() == [((0, 1), 1.0), ((1, 0), 2j), ((2, 1), 3.0)]
+    assert state.amplitude((1, 0)) == 2j
+    assert state.amplitude((1, 1)) == 0.0
+    assert state.amplitude((9, 0)) == 0.0
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 5.0
+    assert np.array_equal(StateVector.from_dense(layout, state.to_dense()).ranks, state.ranks)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bogofisher import (
     BogoliubovFirstOrder,
@@ -223,3 +225,51 @@ def test_validity_check_examples():
     assert ok
     with pytest.raises(ValueError):
         validity_check(0.1, -1.0)
+
+
+# Largest cutoff per mode count that keeps the (cutoff + 3)^modes dense
+# reference for the leakage check small.
+_PROPERTY_CUTOFF = {1: 8, 2: 6, 3: 4, 4: 3}
+
+
+@st.composite
+def _generator_case(draw):
+    modes = draw(st.integers(1, 4))
+    cutoff = draw(st.integers(1, _PROPERTY_CUTOFF[modes]))
+    occupation = st.tuples(*[st.integers(0, cutoff)] * modes)
+    occs = draw(st.lists(occupation, min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        # Make sure some term sits at the cutoff, where creation leaks.
+        at_cutoff = list(occs[0])
+        at_cutoff[draw(st.integers(0, modes - 1))] = cutoff
+        occs = list(dict.fromkeys([tuple(at_cutoff), *occs]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return modes, cutoff, occs, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_case())
+def test_apply_generator_matches_dense_generator(case):
+    modes, cutoff, occs, seed = case
+    rng = np.random.default_rng(seed)
+    model = rephased(random_model(rng, modes), rng.uniform(-math.pi, math.pi, modes))
+    gen = build_generator(model)
+    layout = ModeLayout(modes, cutoff)
+    amps = rng.normal(size=len(occs)) + 1j * rng.normal(size=len(occs))
+    state = StateVector(layout, dict(zip(occs, amps)))
+
+    out = apply_generator(gen, state)
+
+    expected = dense_generator_matrix(gen, layout) @ state.to_dense()
+    np.testing.assert_allclose(out.to_dense(), expected, rtol=0, atol=1e-12)
+    # Leakage sums the squared contributions pushed past the cutoff.  Within
+    # one input term they land on distinct occupations, so per term they are
+    # the amplitudes of K|term> beyond the cutoff in a layout two wider.
+    wide = ModeLayout(modes, cutoff + 2)
+    wide_k = dense_generator_matrix(gen, wide)
+    beyond = np.array([max(occ) > cutoff for occ in wide.basis()])
+    dropped = 0.0
+    for occ, c in state.items():
+        column = wide_k @ StateVector(wide, {occ: c}).to_dense()
+        dropped += float(np.sum(np.abs(column[beyond]) ** 2))
+    assert out.leakage == pytest.approx(dropped, rel=1e-12, abs=1e-14)

@@ -30,7 +30,7 @@ from bogofisher import (
     vacuum_qfi,
 )
 
-from helpers import random_model, random_state, rephased
+from helpers import loop_first_order, random_model, random_state, rephased
 
 
 def _pair(model, layout, occ):
@@ -316,3 +316,31 @@ def test_vacuum_qfi_formula():
     assert qfi_pure(transform_first_order(model, StateVector.vacuum(layout))) == (
         pytest.approx(4.0)
     )
+
+
+@pytest.mark.parametrize("modes,cutoff,terms", [(1, 8, 3), (2, 6, 8), (3, 5, 12), (4, 4, 20)])
+def test_first_order_route_equals_term_loop_bit_for_bit(modes, cutoff, terms):
+    # The vectorized route keeps the summation order and rounding of a
+    # term-by-term loop, so CLI outputs stay byte-stable.
+    rng = np.random.default_rng(100 + modes)
+    keep = ModeSubset.of(range(modes - 1)) if modes > 1 else None
+    for _ in range(5):
+        model = rephased(random_model(rng, modes), rng.uniform(-np.pi, np.pi, modes))
+        layout = ModeLayout(modes, cutoff)
+        state = random_state(
+            rng, layout, modes=list(keep.indices) if keep else None,
+            terms=terms, max_occ=cutoff - 2,
+        )
+        pair = transform_first_order(model, state)
+        psi0, psi1, loss = loop_first_order(model, state, keep)
+        assert pair.psi0.items() == psi0
+        assert pair.psi1.items() == psi1
+        psi1_of = dict(psi1)
+        overlap = 0.0 + 0.0j
+        for occ, c0 in psi0:
+            if occ in psi1_of:
+                overlap += c0.conjugate() * psi1_of[occ]
+        norm1 = math.fsum(abs(c) ** 2 for _, c in psi1)
+        assert qfi_pure(pair) == max(0.0, 4.0 * (norm1 - abs(overlap) ** 2))
+        if keep is not None:
+            assert tracing_loss(model, state, keep) == loss

@@ -23,6 +23,7 @@ from .errors import (
     BogofisherError,
     BudgetError,
     ModelFormatError,
+    NumericalBreakdownError,
     SupportError,
     UnitarityError,
     UsageError,
@@ -47,27 +48,6 @@ from .harness import (
     optimize_state,
     rows_to_csv,
     scan_fock,
-)
-from .oracle import (
-    DerivativeStates,
-    ExactUnitary,
-    FidelityEstimate,
-    GeneratorSpec,
-    beam_splitter_generator,
-    coherent_state,
-    derivative_states,
-    evolve_state,
-    exact_unitary,
-    extract_bogoliubov,
-    extract_first_order,
-    generator_from_model,
-    hamiltonian,
-    independent_squeezers_generator,
-    qfi_fidelity_mixed,
-    qfi_fidelity_pure,
-    squeezer_generator,
-    two_mode_squeezer_generator,
-    uhlmann_fidelity,
 )
 from .perturb import (
     FirstOrderPair,
@@ -108,6 +88,7 @@ __all__ = [
     "ModeLayout",
     "ModeSubset",
     "ModelFormatError",
+    "NumericalBreakdownError",
     "OptimizationResult",
     "QfiReport",
     "ScanRow",
@@ -165,3 +146,16 @@ __all__ = [
     "validate",
     "validity_check",
 ]
+
+
+def __getattr__(name: str):
+    """The oracle's names in ``__all__``, imported on first access (PEP 562).
+
+    The oracle needs scipy, so the first-order route imports none of it.
+    """
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value

@@ -17,7 +17,7 @@ import sys
 from typing import Any, Sequence
 
 from . import harness
-from .bogoliubov import is_json_int, parse_model, validate
+from .bogoliubov import is_json_int, load_model, parse_model, validate
 from .errors import (
     BogofisherError,
     BudgetError,
@@ -27,7 +27,6 @@ from .errors import (
     UsageError,
 )
 from .fock import ModeLayout, ModeSubset, average_particle_number
-from .oracle import derivative_states, generator_from_model, qfi_fidelity_pure
 from .perturb import transform_first_order
 from .qfi import DEFAULT_THETA, qfi_pure, qfi_pure_report, qfi_reduced, vacuum_qfi
 
@@ -135,14 +134,6 @@ def _read_json(path: str) -> Any:
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_validated_model(path: str):
-    model = parse_model(_read_json(path))
-    report = validate(model)
-    if not report.passed:
-        raise UnitarityError(report.summary())
-    return model
-
-
 def _state_layout(model, doc, explicit_cutoff: int | None) -> ModeLayout:
     max_occ = 0
     if isinstance(doc, list):
@@ -198,7 +189,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_qfi(args) -> int:
-    model = _load_validated_model(args.model)
+    model = load_model(_read_json(args.model))
     doc = _read_json(args.state)
     layout = _state_layout(model, doc, args.cutoff)
     state = harness.load_state_document(doc, layout)
@@ -227,7 +218,7 @@ def _cmd_qfi(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    model = _load_validated_model(args.model)
+    model = load_model(_read_json(args.model))
     if args.m is not None and args.pair_with is None:
         raise UsageError("--m requires --pair-with")
     if args.fit and args.out is None:
@@ -260,7 +251,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_named(args) -> int:
-    model = _load_validated_model(args.model)
+    model = load_model(_read_json(args.model))
     keep = _keep_subset(args.keep)
     reports = harness.eval_named_states(
         model, args.n, k=args.k, kprime=args.kprime, keep=keep, theta=args.theta
@@ -279,7 +270,7 @@ def _cmd_named(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    model = _load_validated_model(args.model)
+    model = load_model(_read_json(args.model))
     support = harness.load_support_document(_read_json(args.support), model.mode_count)
     keep = _keep_subset(args.keep)
     result = harness.optimize_state(
@@ -307,7 +298,9 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
-    model = _load_validated_model(args.model)
+    from .oracle import derivative_states, generator_from_model, qfi_fidelity_pure
+
+    model = load_model(_read_json(args.model))
     doc = _read_json(args.state)
     layout = _state_layout(model, doc, args.cutoff)
     state = harness.load_state_document(doc, layout)

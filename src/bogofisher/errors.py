@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: usage and support problems exit 1,
 model format and unitarity failures exit 2, numerical-budget failures
-(cutoff headroom, truncation leakage, dense dimension) exit 3.
+(cutoff headroom, truncation leakage, dense dimension, numerical
+breakdown) exit 3.
 """
 
 
@@ -28,3 +29,7 @@ class SupportError(BogofisherError):
 
 class BudgetError(BogofisherError):
     """Numerical budget exceeded: cutoff headroom, leakage, or dense dimension."""
+
+
+class NumericalBreakdownError(BudgetError):
+    """A quantity that is non-negative in exact arithmetic came out negative."""

@@ -16,15 +16,15 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, least_squares, minimize
 
 from .bogoliubov import BogoliubovFirstOrder, is_json_int
 from .errors import ModelFormatError, SupportError
 from .fock import ModeLayout, ModeSubset, StateVector, _lookup, average_particle_number
-from .oracle import generator_from_model, qfi_fidelity_pure
 from .perturb import transform_first_order, validity_check
 from .qfi import (
     DEFAULT_THETA,
+    _check_mode,
+    _check_mode_pair,
     _clamp_nonnegative,
     _complement_reference,
     _pair_and_loss,
@@ -89,6 +89,12 @@ def scan_fock(
     when ``m_values`` is supplied.  The oracle route requires a model
     with trivial phases.
     """
+    from .oracle import generator_from_model, qfi_fidelity_pure
+
+    if kprime is None:
+        _check_mode(model, k)
+    else:
+        _check_mode_pair(model, k, kprime)
     n_values = [int(n) for n in n_values]
     if not n_values:
         raise ValueError("empty scan range")
@@ -191,6 +197,8 @@ def fit_scaling(
     at small occupation.  Pass vacuum_term = 0 to fit raw values.
     Requires at least four points with nbar >= 1.
     """
+    from scipy.optimize import least_squares
+
     nbar = np.asarray(nbar, dtype=float)
     qfi = np.asarray(qfi, dtype=float)
     if nbar.shape != qfi.shape:
@@ -244,6 +252,7 @@ def eval_named_states(
     """
     if n < 2:
         raise ValueError("named-state evaluation requires n >= 2")
+    _check_mode_pair(model, k, kprime)
     layout = ModeLayout(model.mode_count, n + 4)
     sqrt2, sqrt3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -327,6 +336,8 @@ def optimize_state(
     the winner is chosen by score, then lexicographically smallest
     amplitudes.
     """
+    from scipy.optimize import minimize
+
     support_t = tuple(tuple(int(x) for x in occ) for occ in support)
     if not support_t:
         raise SupportError("support must be non-empty")
@@ -475,6 +486,8 @@ def _tilt_to_target(
     c: np.ndarray, weights: np.ndarray, totals: np.ndarray, target: float
 ) -> np.ndarray | None:
     """Rescale moduli by exp(t N / 2) so the weighted mean of N hits target."""
+    from scipy.optimize import brentq
+
     active = weights > 0.0
     lo_n, hi_n = totals[active].min(), totals[active].max()
     if hi_n - lo_n < 1e-12:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import BogoliubovFirstOrder
-from .errors import SupportError
+from .errors import NumericalBreakdownError, SupportError
 from .fock import (
     DensityOperator,
     ModeSubset,
@@ -227,10 +227,7 @@ def qfi_two_mode_closed(
     """
     if n < 0 or m < 0:
         raise ValueError("occupations must be non-negative")
-    _check_mode(model, k)
-    _check_mode(model, kprime)
-    if k == kprime:
-        raise ValueError("the two modes must be distinct")
+    _check_mode_pair(model, k, kprime)
     beta = model.beta1
     alpha = model.alpha1
     cross = 8.0 * m * n * (abs(alpha[k, kprime]) ** 2 + abs(beta[k, kprime]) ** 2)
@@ -288,9 +285,16 @@ def _check_mode(model: BogoliubovFirstOrder, k: int) -> None:
         raise ValueError(f"mode index {k} out of range for {model.mode_count} modes")
 
 
+def _check_mode_pair(model: BogoliubovFirstOrder, k: int, kprime: int) -> None:
+    _check_mode(model, k)
+    _check_mode(model, kprime)
+    if k == kprime:
+        raise ValueError("the two modes must be distinct")
+
+
 def _clamp_nonnegative(value: float) -> float:
     if value < 0.0:
         if value < -1e-9:
-            raise ValueError(f"QFI evaluated to {value}; numerical breakdown")
+            raise NumericalBreakdownError(f"QFI evaluated to {value}; numerical breakdown")
         return 0.0
     return value

@@ -10,10 +10,14 @@ beta1_kk = 1 the vacuum acquires -(1/sqrt 2)|2> at first order.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import scipy.sparse
 
+import bogofisher
 from bogofisher import (
     BogoliubovFirstOrder,
     GeneratorK,
@@ -22,6 +26,19 @@ from bogofisher import (
     StateVector,
     extract_first_order,
 )
+
+
+def run_python(args: list[str]) -> tuple[int, str, str]:
+    """Run a fresh interpreter on this checkout's package; (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(bogofisher.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    done = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def dense_ladders(mode_count: int, cutoff: int) -> list[scipy.sparse.csr_matrix]:

@@ -2,14 +2,13 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 
 import bogofisher
 from bogofisher.cli import cli_main
+
+from helpers import run_python
 
 
 def write_json(path, payload):
@@ -213,16 +212,7 @@ def test_state_normalization_enforced(squeezer_doc, tmp_path, capsys):
 
 
 def _fresh_process(argv):
-    src = os.path.dirname(os.path.dirname(bogofisher.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
-    done = subprocess.run(
-        [sys.executable, "-m", "bogofisher", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    return done.returncode, done.stdout, done.stderr
+    return run_python(["-m", "bogofisher", *argv])
 
 
 def test_repeated_calls_match_fresh_processes(squeezer_doc, vacuum_state_doc, capsys):
@@ -397,3 +387,35 @@ def test_negative_occupation_is_not_reported_as_cutoff(tms_doc, tmp_path, capsys
     assert error["error"] == "ModelFormatError"
     assert "negative occupation" in error["message"]
     assert "cutoff" not in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["named", "M1", "--n", "2"], "mode index 1 out of range for 1 modes"),
+        (["scan", "M2", "--n", "0..1", "--pair-with", "7"], "mode index 7 out of range"),
+        (["scan", "M1", "--n", "0..1", "--pair-with", "1"], "mode index 1 out of range"),
+        (["scan", "M2", "--n", "0..1", "--k", "5"], "mode index 5 out of range"),
+        (["named", "M2", "--n", "2", "--k", "9"], "mode index 9 out of range"),
+        (["named", "M2", "--n", "2", "--k", "1", "--kprime", "1"], "must be distinct"),
+    ],
+)
+def test_bad_mode_index_exits_one(argv, message, squeezer_doc, tms_doc, capsys):
+    models = {"M1": squeezer_doc, "M2": tms_doc}
+    assert cli_main([models.get(arg, arg) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = _single_error_line(captured.err)
+    assert error["error"] == "ValueError"
+    assert message in error["message"]
+
+
+def test_numerical_breakdown_exits_three(squeezer_doc, vacuum_state_doc, monkeypatch, capsys):
+    # The vacuum norm term is 2, so a penalty of 0.75 drives the QFI to about -1.
+    monkeypatch.setattr(bogofisher.qfi, "overlap_penalty", lambda pair: 0.75)
+    assert cli_main(["qfi", squeezer_doc, "--state", vacuum_state_doc]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = _single_error_line(captured.err)
+    assert error["error"] == "NumericalBreakdownError"
+    assert error["message"].endswith("; numerical breakdown")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from bogofisher import (
     BogoliubovFirstOrder,
@@ -273,7 +274,8 @@ def test_optimize_keep_rejects_varying_complement_before_minimize(monkeypatch):
     def no_minimize(*args, **kwargs):
         raise AssertionError("minimize ran on an invalid support")
 
-    monkeypatch.setattr(harness, "minimize", no_minimize)
+    # optimize_state imports minimize when it runs, so patch where it is read.
+    monkeypatch.setattr(scipy.optimize, "minimize", no_minimize)
     model = two_mode_squeezer(0, 1, 3)
     with pytest.raises(SupportError, match="complement occupation varies"):
         optimize_state(

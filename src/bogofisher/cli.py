@@ -288,6 +288,7 @@ def _cmd_optimize(args) -> int:
             "amplitudes": [[float(c.real), float(c.imag)] for c in result.amplitudes],
             "qfi": result.qfi,
             "constraint_residual": result.constraint_residual,
+            "stationarity_residual": result.stationarity_residual,
             "restarts": [
                 {"restart": log.restart, "iterations": log.iterations, "score": log.score}
                 for log in result.restarts

@@ -28,10 +28,13 @@ from bogofisher import (
 )
 
 
-def run_python(args: list[str]) -> tuple[int, str, str]:
-    """Run a fresh interpreter on this checkout's package; (exit code, stdout, stderr)."""
+def run_python(args: list[str], extra_env: dict[str, str] | None = None) -> tuple[int, str, str]:
+    """Run a fresh interpreter on this checkout's package; (exit code, stdout, stderr).
+
+    ``extra_env`` entries are set in the child's environment.
+    """
     src = os.path.dirname(os.path.dirname(bogofisher.__file__))
-    env = dict(os.environ)
+    env = dict(os.environ, **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )

@@ -16,16 +16,19 @@ from bogofisher import (
     ModeSubset,
     StateVector,
     average_particle_number,
+    beam_splitter,
     coherent_state,
     derivative_states,
     fit_scaling,
     generator_from_model,
     independent_squeezers_generator,
+    optimize_state,
     qfi_fidelity_mixed,
     qfi_fidelity_pure,
     qfi_mixed_matrix_element,
     qfi_pure,
     qfi_reduced,
+    qfi_two_mode_closed,
     scan_fock,
     single_mode_squeezer,
     squeezer_generator,
@@ -339,3 +342,49 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         (outputs[0][1] == outputs[1][1], "two-mode scan CSV not byte-identical"),
     ]
     _verdict(10, "repeated acceptance scans produce byte-identical CSVs", checks)
+
+
+def test_criterion_11_optimized_states_reach_heisenberg_scaling():
+    start = time.perf_counter()
+    model = beam_splitter(0, 1, 2)
+    nbars = list(range(1, 7))
+    checks = []
+    best = []
+    for nbar in nbars:
+        # Every 2-mode occupation up to twice the target mean.
+        support = [(a, b) for a in range(2 * nbar + 1) for b in range(2 * nbar + 1 - a)]
+        result = optimize_state(model, support, float(nbar), restarts=2)
+        best.append(result.qfi)
+        product = max(
+            qfi_two_mode_closed(model, a, 0, nbar - a, 1).qfi for a in range(nbar + 1)
+        )
+        checks.append(
+            (
+                result.qfi >= product - 1e-9 * product,
+                f"optimized {result.qfi!r} below product Fock {product!r} at nbar={nbar}",
+            )
+        )
+        checks.append(
+            (result.constraint_residual <= 1e-12, f"constraint residual at nbar={nbar}")
+        )
+    exponent = fit_scaling(nbars, best)
+    checks.append(
+        (abs(exponent - 2.0) <= 0.05, f"fitted exponent {exponent:.4f} outside 2 +- 0.05")
+    )
+    # The 45-state support of every 2-mode occupation with total <= 8.
+    support = [(a, b, 0) for a in range(9) for b in range(9 - a)]
+    target = sum(map(sum, support)) / len(support)
+    squeezer = two_mode_squeezer(0, 1, 3)
+    for restarts in (2, 8):
+        value = optimize_state(squeezer, support, target, restarts=restarts).qfi
+        checks.append(
+            (value >= 143.1, f"45-state optimum {value!r} below 143.1 at {restarts} restarts")
+        )
+    elapsed = time.perf_counter() - start
+    checks.append((elapsed < 30.0, f"runtime {elapsed:.1f}s exceeds 30s"))
+    _verdict(
+        11,
+        f"optimized full-support QFI scales with exponent {exponent:.4f} "
+        f"({best[-1] / nbars[-1] ** 2:.4f} nbar^2)",
+        checks,
+    )

@@ -175,6 +175,37 @@ def test_optimize_infeasible_exits_one(tms_doc, tmp_path, capsys):
     assert err["error"] == "SupportError"
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--restarts", "0"), ("--restarts", "-2"), ("--max-iter", "0"), ("--max-iter", "-5")]
+)
+def test_optimize_rejects_bad_counts(flag, value, tms_doc, tmp_path, capsys):
+    support = write_json(tmp_path / "support.json", [[1, 1], [2, 2], [0, 2]])
+    argv = ["optimize", tms_doc, "--support", support, "--avg-n", "3", flag, value]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = _single_error_line(captured.err)
+    assert error["error"] == "ValueError"
+    assert "must be at least 1" in error["message"]
+
+
+def test_optimize_stdout_identical_across_processes_and_blas_threads(tms_doc, tmp_path):
+    support = write_json(
+        tmp_path / "support.json", [[0, 0], [1, 1], [2, 2], [3, 1], [1, 3], [0, 4]]
+    )
+    argv = ["optimize", tms_doc, "--support", support, "--avg-n", "2.5", "--restarts", "3"]
+    runs = [
+        run_python(["-m", "bogofisher", *argv], extra_env=env)
+        for env in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})
+    ]
+    code, out, err = runs[0]
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["constraint_residual"] < 1e-12
+    assert 0.0 <= payload["stationarity_residual"] <= 1e-4 * payload["qfi"]
+    assert all(run == runs[0] for run in runs[1:])
+
+
 def test_oracle_compare(tms_doc, tmp_path, capsys):
     state = write_json(
         tmp_path / "s11.json", [{"occ": [1, 1], "re": 1.0, "im": 0.0}]

@@ -26,7 +26,7 @@ from bogofisher import (
     vacuum_qfi,
 )
 from bogofisher import harness, qfi
-from bogofisher.harness import _support_score, worker_count
+from bogofisher.harness import _retraction, _support_score, worker_count
 
 from helpers import random_model, rephased
 
@@ -301,3 +301,119 @@ def test_optimize_transforms_once_per_support_state(monkeypatch, kept):
     restarts = 3
     optimize_state(model, support, 4.0, keep=keep, restarts=restarts, max_iter=200)
     assert len(calls) <= len(support) + 2 * restarts
+
+
+def _compiled_case(modes, kept, support, use_keep):
+    rng = np.random.default_rng([modes, len(support), 7])
+    model = rephased(random_model(rng, modes), rng.uniform(0.0, 2.0 * math.pi, modes))
+    layout = ModeLayout(modes, max(max(occ) for occ in support) + 2)
+    keep = ModeSubset.of(kept) if use_keep else None
+    return rng, model, layout, keep
+
+
+def _real_gradient(conj_grad):
+    # d/dx of a real function of c = x[:S] + i x[S:] from its d/d conj(c).
+    return 2.0 * np.concatenate([conj_grad.real, conj_grad.imag])
+
+
+def _central_differences(f, x, step=1e-6):
+    return np.array(
+        [(f(x + step * e) - f(x - step * e)) / (2.0 * step) for e in np.eye(x.size)]
+    )
+
+
+def _keep_variants():
+    for modes, kept, support in COMPILED_CASES:
+        yield modes, kept, support, False
+        if kept is not None:
+            yield modes, kept, support, True
+
+
+@pytest.mark.parametrize("modes,kept,support,use_keep", list(_keep_variants()))
+def test_support_score_gradient_matches_central_differences(modes, kept, support, use_keep):
+    rng, model, layout, keep = _compiled_case(modes, kept, support, use_keep)
+    compiled = _support_score(model, layout, tuple(support), keep)
+    size = len(support)
+    for _ in range(3):
+        x = rng.normal(size=2 * size)
+        x /= np.linalg.norm(x)
+        _, grad = compiled(x[:size] + 1j * x[size:], gradient=True)
+        want = _central_differences(lambda y: compiled(y[:size] + 1j * y[size:]), x)
+        assert np.linalg.norm(_real_gradient(grad) - want) <= 1e-6 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("modes,kept,support,use_keep", list(_keep_variants()))
+def test_retracted_score_gradient_matches_central_differences(modes, kept, support, use_keep):
+    rng, model, layout, keep = _compiled_case(modes, kept, support, use_keep)
+    compiled = _support_score(model, layout, tuple(support), keep)
+    totals = np.array([float(sum(occ)) for occ in support])
+    size = len(support)
+    # The median puts support states at the target itself in most cases.
+    for target in (totals.mean(), np.median(totals), totals.min(), totals.max()):
+        retract = _retraction(totals, target)
+
+        def objective(x):
+            return compiled(retract(x[:size] + 1j * x[size:])[0])
+
+        x = rng.normal(size=2 * size)
+        c, pullback = retract(x[:size] + 1j * x[size:])
+        _, grad = compiled(c, gradient=True)
+        got = _real_gradient(pullback(grad))
+        want = _central_differences(objective, x)
+        # At an edge target with one state at that total the objective is
+        # constant; the floor covers the rounding of the differences there.
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want) + 1e-7
+
+
+# (support totals, target): interior targets, targets at the smallest and
+# largest total (with and without states at the target itself), and a
+# support with a single total.
+RETRACTION_CASES = [
+    ([0, 1, 2, 4, 5], 2.5),
+    ([1, 2, 2, 3, 6], 2.0),
+    ([3, 5, 5, 7], 5.0),
+    ([2, 2, 4, 6], 2.0),
+    ([2, 4, 6, 6], 6.0),
+    ([1, 3], 1.0),
+    ([1, 3], 3.0),
+    ([4, 4, 4], 4.0),
+]
+
+
+@pytest.mark.parametrize("totals,target", RETRACTION_CASES)
+def test_retraction_meets_both_constraints(totals, target):
+    totals = np.array(totals, dtype=float)
+    retract = _retraction(totals, target)
+    rng = np.random.default_rng(len(totals))
+    for _ in range(50):
+        c, _ = retract(rng.normal(size=totals.size) + 1j * rng.normal(size=totals.size))
+        weights = np.abs(c) ** 2
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        assert abs(weights @ totals - target) <= 1e-12 * max(1.0, target)
+        # A feasible point is a fixed point.
+        again, _ = retract(c)
+        assert np.max(np.abs(again - c)) <= 1e-15
+
+
+def test_retraction_is_undefined_with_weight_on_one_side_only():
+    retract = _retraction(np.array([1.0, 2.0, 3.0]), 2.0)
+    assert retract(np.array([1.0, 0.0, 0.0], dtype=complex)) is None
+    assert retract(np.array([0.0, 0.0, 0.0], dtype=complex)) is None
+    c, _ = retract(np.array([0.0, 2.0j, 0.0]))
+    assert np.array_equal(c, np.array([0.0, 1.0j, 0.0]))
+
+
+@pytest.mark.parametrize("modes,kept,support,use_keep", list(_keep_variants()))
+def test_optimize_first_restart_not_below_its_start(modes, kept, support, use_keep):
+    _, model, layout, keep = _compiled_case(modes, kept, support, use_keep)
+    totals = np.array([float(sum(occ)) for occ in support])
+    target = float(totals.mean())
+    start, _ = _retraction(totals, target)(np.ones(len(support), dtype=complex))
+    state = StateVector(layout, dict(zip(map(tuple, support), start)), prune=0.0)
+    start_score = qfi_pure(transform_first_order(model, state))
+    if keep is not None:
+        start_score -= tracing_loss(model, state, keep)
+    result = optimize_state(model, support, target, keep=keep, restarts=1, max_iter=200)
+    assert result.restarts[0].score >= start_score - 1e-12 * max(1.0, start_score)
+    assert result.constraint_residual <= 1e-12
+    assert 0.0 <= result.stationarity_residual <= 1e-4 * max(1.0, result.qfi)

@@ -89,7 +89,7 @@ def scan_fock(
     when ``m_values`` is supplied.  The oracle route requires a model
     with trivial phases.
     """
-    from .oracle import generator_from_model, qfi_fidelity_pure
+    from .oracle import _operator, generator_from_model, qfi_fidelity_pure
 
     if kprime is None:
         _check_mode(model, k)
@@ -119,6 +119,8 @@ def scan_fock(
         cutoff = max_occ + DEFAULT_CUTOFF_MARGIN
     layout = ModeLayout(model.mode_count, cutoff)
     generator = generator_from_model(model)
+    # Every point shares one -iH, built here before any pool thread runs.
+    _operator(generator, layout)
 
     def evaluate(point: tuple[int, int | None]) -> ScanRow:
         n, m = point

@@ -6,14 +6,15 @@ A quadratic Hermitian Hamiltonian
       + (1/2) sum_pq g_pq a_p^dag a_q^dag + (1/2) sum_pq conj(g_pq) a_p a_q
 
 generates the exact propagator U(theta) = exp(-i theta H).  H is built
-once per call as a sparse matrix on the truncated basis, and its action
-on a state vector is computed by ``scipy.sparse.linalg.expm_multiply``
-(Al-Mohy & Higham, "Computing the action of the matrix exponential",
-SIAM J. Sci. Comput. 2011).  Everything downstream is obtained
-nonperturbatively: fidelity-based QFI with Richardson extrapolation,
-Uhlmann fidelity for reduced states, finite-difference state and
-density-operator derivatives, and Bogoliubov coefficients from the
-classical 2M x 2M mode-transformation exponential.
+as a sparse matrix on the truncated basis once per generator and
+truncation (see ``GeneratorSpec``), and its action on a state vector is
+computed by ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham,
+"Computing the action of the matrix exponential", SIAM J. Sci. Comput.
+2011).  Everything downstream is obtained nonperturbatively:
+fidelity-based QFI with Richardson extrapolation, Uhlmann fidelity for
+reduced states, finite-difference state and density-operator
+derivatives, and Bogoliubov coefficients from the classical 2M x 2M
+mode-transformation exponential.
 
 Convention pinned here and mirrored by the perturbative module: the
 mode operators transform as a_m -> U^dag a_m U, so the single-mode
@@ -26,13 +27,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.special
 from scipy.sparse.linalg import expm_multiply
 
 from .bogoliubov import BogoliubovFirstOrder
@@ -46,6 +47,9 @@ DEFAULT_DTHETA_FIDELITY = 1e-3
 SHELL_BUDGET = 1e-10
 # One dense complex matrix of this dimension takes 268 MB; expm holds several.
 EXACT_UNITARY_DIM_BUDGET = 4096
+# Largest |stop - start| * ||H||_1 of one sweep.  The cost of expm_multiply
+# grows linearly in it; the oracle's finite-difference steps need about 1.
+SWEEP_NORM_BUDGET = 1e3
 
 _HERMITIAN_TOL = 1e-12
 
@@ -56,6 +60,12 @@ class GeneratorSpec:
 
     ``h`` is the Hermitian number-conserving block, ``g`` the symmetric
     pair-creation block (its conjugate closes the Hermitian form).
+
+    The sparse operator -iH of each truncation, with its 1-norm, is built
+    on first use and kept on the instance, keyed by (mode_count, cutoff),
+    so every oracle call of one command on one truncation shares one
+    build.  ``h`` and ``g`` are read-only copies made here, so a kept
+    operator cannot go stale.
     """
 
     h: np.ndarray
@@ -76,6 +86,7 @@ class GeneratorSpec:
             arr.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g", g)
+        object.__setattr__(self, "_operators", {})
 
     @property
     def mode_count(self) -> int:
@@ -202,9 +213,35 @@ def _occupations(layout: ModeLayout) -> np.ndarray:
     return np.array(np.unravel_index(np.arange(layout.basis_size), shape))
 
 
+def _operator(gen: GeneratorSpec, layout: ModeLayout) -> tuple[scipy.sparse.csr_matrix, float]:
+    """-iH on ``layout`` and its 1-norm, built once per generator and truncation."""
+    key = (layout.mode_count, layout.cutoff)
+    cached = gen._operators.get(key)
+    if cached is None:
+        A = -1j * hamiltonian(gen, layout)
+        cached = gen._operators[key] = (A, float(abs(A).sum(axis=0).max()))
+    return cached
+
+
+@functools.cache
 def _shell_mask(layout: ModeLayout) -> np.ndarray:
-    """Basis states with some mode within two levels of the cutoff."""
-    return np.any(_occupations(layout) >= layout.cutoff - 1, axis=0)
+    """Basis states with some mode within two levels of the cutoff (read-only)."""
+    mask = np.any(_occupations(layout) >= layout.cutoff - 1, axis=0)
+    mask.flags.writeable = False
+    return mask
+
+
+def _check_step(name: str, step: float) -> None:
+    """A finite-difference step of either sign whose estimates stay finite.
+
+    The estimates divide by step^2 and (step / 2)^2, so both squares must
+    be finite normal floats; otherwise they give NaN or Inf.
+    """
+    half = step / 2.0
+    if not (math.isfinite(step * step) and half * half >= sys.float_info.min):
+        raise ValueError(
+            f"{name} must be finite with 3e-154 <= |{name}| <= 1e154, got {step!r}"
+        )
 
 
 def _check_shell_weight(vec: np.ndarray, shell: np.ndarray, budget: float) -> None:
@@ -218,16 +255,20 @@ def _check_shell_weight(vec: np.ndarray, shell: np.ndarray, budget: float) -> No
 
 
 def _propagation(gen: GeneratorSpec, state: StateVector, shell_budget: float):
-    """The dense input and a sweep of exp(-i theta H)|state>, H built once.
+    """The dense input and a sweep of exp(-i theta H)|state>.
 
-    ``sweep(start, stop, num)`` returns the evolved vectors at the
-    ``num`` equally spaced thetas from ``start`` to ``stop`` (endpoint
-    included) as the rows of one array, from one ``expm_multiply`` call:
-    the interval algorithm of Al-Mohy & Higham (2011, section 5) costs
-    about as much as a single evolution.  The input and every evolved
-    vector are held to the boundary-shell leakage budget.
+    -iH and the shell mask come from their caches (the generator's
+    operators, see ``GeneratorSpec``, and ``_shell_mask``), so this only
+    densifies and checks the state.  ``sweep(start, stop, num)`` returns
+    the evolved vectors at the ``num`` equally spaced thetas from
+    ``start`` to ``stop`` (endpoint included) as the rows of one array,
+    from one ``expm_multiply`` call: the interval algorithm of Al-Mohy &
+    Higham (2011, section 5) costs about as much as a single evolution.
+    A sweep whose |stop - start| * ||H||_1 passes ``SWEEP_NORM_BUDGET``
+    is refused before it starts.  The input and every evolved vector are
+    held to the boundary-shell leakage budget.
     """
-    A = -1j * hamiltonian(gen, state.layout)
+    A, norm = _operator(gen, state.layout)
     shell = _shell_mask(state.layout)
     v0 = state.to_dense()
     _check_shell_weight(v0, shell, shell_budget)
@@ -236,6 +277,13 @@ def _propagation(gen: GeneratorSpec, state: StateVector, shell_budget: float):
         # The interval algorithm assumes start <= stop; on a descending grid
         # scipy returns wrong vectors without an error, so run it ascending.
         lo, hi = min(start, stop), max(start, stop)
+        # Written as "not <=" so that a NaN span (a non-finite theta) fails.
+        if not (hi - lo) * norm <= SWEEP_NORM_BUDGET:
+            raise BudgetError(
+                f"sweep over [{lo:.3e}, {hi:.3e}] times the operator 1-norm "
+                f"{norm:.3e} exceeds the budget {SWEEP_NORM_BUDGET:.0e}; "
+                "use a smaller step"
+            )
         out = expm_multiply(A, v0, start=lo, stop=hi, num=num, endpoint=True)
         for vec in out:
             _check_shell_weight(vec, shell, shell_budget)
@@ -251,7 +299,7 @@ def exact_unitary(gen: GeneratorSpec, theta: float, layout: ModeLayout) -> Exact
             f"dense unitary dimension {layout.basis_size} over budget "
             f"{EXACT_UNITARY_DIM_BUDGET}"
         )
-    matrix = scipy.linalg.expm((-1j * theta) * hamiltonian(gen, layout).toarray())
+    matrix = scipy.linalg.expm(theta * _operator(gen, layout)[0].toarray())
     col_norms = np.linalg.norm(matrix, axis=0)
     unitarity_residual = float(np.max(np.abs(col_norms - 1.0)))
     shell = _shell_mask(layout)
@@ -309,6 +357,7 @@ def qfi_fidelity_pure(
     dtheta/2, one sweep over [0, dtheta/2, dtheta], and
     Richardson-extrapolates the O(dtheta^2) error away.
     """
+    _check_step("dtheta", dtheta)
     if not state.is_normalized(1e-9):
         raise ValueError("input state must be normalized")
     v0, sweep = _propagation(gen, state, shell_budget)
@@ -380,6 +429,7 @@ def qfi_fidelity_mixed(
     +h and -h are averaged, which cancels its odd terms, before the
     Richardson step.  One sweep covers [-dtheta, dtheta] in five points.
     """
+    _check_step("dtheta", dtheta)
     if not state.is_normalized(1e-9):
         raise ValueError("input state must be normalized")
     keep.validate_for(state.layout)
@@ -448,6 +498,8 @@ def derivative_states(
     over [-dtheta, dtheta]; rho2 makes its own over [-dtheta2, dtheta2]
     when it is first read.
     """
+    _check_step("dtheta", dtheta)
+    _check_step("dtheta2", dtheta2)
     layout = state.layout
     keep = keep if keep is not None else ModeSubset.of(range(layout.mode_count))
     keep.validate_for(layout)
@@ -520,7 +572,8 @@ def coherent_state(
     if alpha != 0:
         # |alpha|^n / sqrt(n!) in log form; exp(-|alpha|^2/2) cancels on
         # renormalizing.
-        log_size = levels * math.log(abs(alpha)) - 0.5 * scipy.special.gammaln(levels + 1)
+        log_factorial = np.array([math.lgamma(n + 1.0) for n in levels])
+        log_size = levels * math.log(abs(alpha)) - 0.5 * log_factorial
         amplitudes = np.exp(log_size - log_size.max() + 1j * cmath.phase(alpha) * levels)
     vec = np.zeros(layout.basis_size, dtype=np.complex128)
     vec[levels * (layout.cutoff + 1) ** (layout.mode_count - 1 - mode)] = amplitudes

@@ -18,6 +18,7 @@ trivial phases this gives K|0> = -(1/sqrt 2)|2>.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,16 @@ class FirstOrderPair:
 
 
 def build_generator(model: BogoliubovFirstOrder) -> GeneratorK:
-    """Construct K from a validated model; asserts anti-Hermiticity."""
+    """Construct K from a validated model; asserts anti-Hermiticity.
+
+    K is kept on the model instance, so a model is validated and K built
+    once however many transforms use it.  The model's arrays are
+    read-only copies made at construction, so the kept K cannot go
+    stale.  A model that fails is not kept and fails again on every call.
+    """
+    gen = vars(model).get("_generator")
+    if gen is not None:
+        return gen
     ensure_validated(model)
     G = model.G
     number = G[None, :] * model.alpha1.conj()
@@ -99,6 +109,7 @@ def build_generator(model: BogoliubovFirstOrder) -> GeneratorK:
             "constructed generator is not anti-Hermitian; "
             "first-order data mixes incompatible sign conventions"
         )
+    object.__setattr__(model, "_generator", gen)
     return gen
 
 
@@ -227,7 +238,13 @@ def validity_check(theta: float, qfi: float) -> tuple[float, bool]:
 
     The expansion is trusted while the ratio stays below 0.01.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     if qfi < 0:
         raise ValueError("qfi must be non-negative")
     ratio = theta * theta * qfi / 4.0
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"validity ratio theta^2 * qfi / 4 is not finite (theta {theta!r}, qfi {qfi!r})"
+        )
     return ratio, ratio < VALIDITY_THRESHOLD

@@ -3,12 +3,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import bogofisher
+from bogofisher import oracle
 from bogofisher.cli import cli_main
 
-from helpers import run_python
+from helpers import random_model, run_python
 
 
 def write_json(path, payload):
@@ -450,3 +452,97 @@ def test_numerical_breakdown_exits_three(squeezer_doc, vacuum_state_doc, monkeyp
     error = _single_error_line(captured.err)
     assert error["error"] == "NumericalBreakdownError"
     assert error["message"].endswith("; numerical breakdown")
+
+
+_SCAN_GRID = ["--n", "0..1", "--pair-with", "1", "--m", "0..1"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["scan", "M", *_SCAN_GRID, "--dtheta", "0"], 1, "ValueError"),
+        (["scan", "M", *_SCAN_GRID, "--dtheta", "nan"], 1, "ValueError"),
+        # Its square overflows, so it is refused as input before any sweep.
+        (["scan", "M", *_SCAN_GRID, "--dtheta", "1e300"], 1, "ValueError"),
+        (["scan", "M", *_SCAN_GRID, "--dtheta", "1e20"], 3, "BudgetError"),
+        (["oracle-compare", "M", "--state", "S", "--dtheta", "0"], 1, "ValueError"),
+        (["oracle-compare", "M", "--state", "S", "--dtheta", "1e20"], 3, "BudgetError"),
+        (["scan", "M", *_SCAN_GRID, "--theta", "nan"], 1, "ValueError"),
+        (["scan", "M", *_SCAN_GRID, "--theta", "inf"], 1, "ValueError"),
+        (["qfi", "M", "--state", "S", "--theta", "nan"], 1, "ValueError"),
+        (["qfi", "M", "--state", "S", "--theta=-inf"], 1, "ValueError"),
+        # Finite, but theta^2 * qfi overflows the validity ratio.
+        (["scan", "M", *_SCAN_GRID, "--theta", "1e200"], 1, "ValueError"),
+        (["qfi", "M", "--state", "S", "--theta", "1e200"], 1, "ValueError"),
+    ],
+)
+def test_bad_step_or_theta_exits_with_one_error(
+    argv, code, error, tms_doc, tmp_path, monkeypatch, capsys
+):
+    # A refused sweep must stop before the propagator runs, not after it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm_multiply ran on a refused step")
+
+    if error == "BudgetError":
+        monkeypatch.setattr(oracle, "expm_multiply", refuse)
+    state = write_json(tmp_path / "s11.json", [{"occ": [1, 1], "re": 1.0, "im": 0.0}])
+    files = {"M": tms_doc, "S": state}
+    assert cli_main([files.get(arg, arg) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line(captured.err)["error"] == error
+
+
+def test_zero_step_fresh_process_prints_no_warning(tms_doc, tmp_path):
+    state = write_json(tmp_path / "s11.json", [{"occ": [1, 1], "re": 1.0, "im": 0.0}])
+    code, out, err = _fresh_process(["oracle-compare", tms_doc, "--state", state,
+                                     "--dtheta", "0"])
+    assert (code, out) == (1, "")
+    assert _single_error_line(err)["error"] == "ValueError"
+
+
+# Four scan threads on a 4-point grid: more workers than a 2-core host has.
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("command", ["scan", "oracle-compare"])
+def test_command_builds_the_hamiltonian_once(command, threads, tmp_path, monkeypatch, capsys):
+    builds = []
+    real_hamiltonian = oracle.hamiltonian
+
+    def counting_hamiltonian(gen, layout):
+        builds.append(layout)
+        return real_hamiltonian(gen, layout)
+
+    monkeypatch.setattr(oracle, "hamiltonian", counting_hamiltonian)
+    monkeypatch.setenv("BOGOFISHER_THREADS", threads)
+    model = write_json(
+        tmp_path / "tms3.json",
+        {"builtin": "two_mode_squeezer", "k": 0, "kprime": 1, "modes": 3},
+    )
+    state = write_json(tmp_path / "s.json", [{"occ": [1, 1, 0], "re": 1.0, "im": 0.0}])
+    argv = {
+        "scan": ["scan", model, *_SCAN_GRID, "--keep", "0,1"],
+        "oracle-compare": ["oracle-compare", model, "--state", state],
+    }[command]
+    assert cli_main(argv) == 0
+    if command == "scan":
+        assert len(capsys.readouterr().out.splitlines()) == 5
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_scan_csv_matches_points_with_fresh_generators(threads, tmp_path, monkeypatch):
+    doc = bogofisher.serialize_model(random_model(np.random.default_rng(823), 3))
+    model = write_json(tmp_path / "model.json", doc)
+    out = tmp_path / "scan.csv"
+    monkeypatch.setenv("BOGOFISHER_THREADS", threads)
+    assert cli_main(["scan", model, *_SCAN_GRID, "--keep", "0,1", "--out", str(out)]) == 0
+    # Each point gets its own parsed model, so nothing is shared between points.
+    rows = []
+    for n in (0, 1):
+        for m in (0, 1):
+            fresh = bogofisher.load_model(doc)
+            rows += bogofisher.scan_fock(
+                fresh, 0, [n], kprime=1, m_values=[m],
+                keep=bogofisher.ModeSubset.of([0, 1]), cutoff=7, threads=1,
+            )
+    assert out.read_bytes() == bogofisher.rows_to_csv(rows).encode()

@@ -453,3 +453,88 @@ def test_shell_monitor_rejects_non_finite_vector():
     vec[layout.cutoff] = np.nan
     with pytest.raises(BudgetError):
         oracle._check_shell_weight(vec, oracle._shell_mask(layout), 1e-10)
+
+
+_STEP_CALLS = {
+    "pure": lambda gen, state, step: qfi_fidelity_pure(gen, state, dtheta=step),
+    "mixed": lambda gen, state, step: qfi_fidelity_mixed(
+        gen, state, ModeSubset.of([0]), dtheta=step
+    ),
+    "derivative": lambda gen, state, step: derivative_states(gen, state, dtheta=step),
+    "derivative2": lambda gen, state, step: derivative_states(gen, state, dtheta2=step),
+}
+
+
+@pytest.mark.parametrize("step", [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-200, 1e300])
+@pytest.mark.parametrize("call", sorted(_STEP_CALLS))
+def test_bad_steps_raise_value_error(call, step):
+    gen = two_mode_squeezer_generator(0, 1, 2)
+    state = StateVector.from_occupation(ModeLayout(2, 7), [1, 1])
+    with pytest.raises(ValueError, match="dtheta"):
+        _STEP_CALLS[call](gen, state, step)
+
+
+def test_sweep_over_norm_budget_refused_before_expm_multiply(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm_multiply ran on a refused sweep")
+
+    gen = two_mode_squeezer_generator(0, 1, 2)
+    state = StateVector.from_occupation(ModeLayout(2, 7), [1, 1])
+    _, norm = oracle._operator(gen, state.layout)
+    monkeypatch.setattr(oracle, "expm_multiply", refuse)
+    theta = 1.01 * oracle.SWEEP_NORM_BUDGET / norm
+    for evolve in (
+        lambda: evolve_state(gen, state, theta),
+        lambda: evolve_state(gen, state, -theta),
+        lambda: qfi_fidelity_pure(gen, state, dtheta=theta),
+        lambda: derivative_states(gen, state, dtheta=theta / 2.0),
+    ):
+        with pytest.raises(BudgetError, match="exceeds the budget"):
+            evolve()
+
+
+def test_operator_built_once_per_generator_and_truncation(monkeypatch):
+    builds = []
+    real_hamiltonian = oracle.hamiltonian
+
+    def counting_hamiltonian(gen, layout):
+        builds.append((gen, layout))
+        return real_hamiltonian(gen, layout)
+
+    monkeypatch.setattr(oracle, "hamiltonian", counting_hamiltonian)
+    gen = two_mode_squeezer_generator(0, 1, 2)
+    layout = ModeLayout(2, 7)
+    state = StateVector.from_occupation(layout, [1, 1])
+    first = qfi_fidelity_pure(gen, state)
+    assert qfi_fidelity_pure(gen, state) == first
+    derivative_states(gen, state).rho2
+    exact_unitary(gen, 0.1, layout)
+    assert builds == [(gen, layout)]
+    qfi_fidelity_pure(gen, StateVector.from_occupation(ModeLayout(2, 8), [1, 1]))
+    fresh = two_mode_squeezer_generator(0, 1, 2)
+    assert qfi_fidelity_pure(fresh, state) == first
+    assert [b[1].cutoff for b in builds] == [7, 8, 7]
+    assert builds[2][0] is fresh
+
+
+def test_kept_operator_norm_and_read_only_shell_mask():
+    gen = squeezer_generator(0, 1)
+    layout = ModeLayout(1, 6)
+    A, norm = oracle._operator(gen, layout)
+    assert oracle._operator(gen, layout)[0] is A
+    dense = dense_hamiltonian_matrix(gen, layout)
+    assert norm == pytest.approx(np.max(np.abs(dense).sum(axis=0)))
+    mask = oracle._shell_mask(layout)
+    assert oracle._shell_mask(ModeLayout(1, 6)) is mask
+    assert not mask.flags.writeable
+
+
+def test_coherent_state_matches_poisson_amplitudes():
+    layout = ModeLayout(1, 30)
+    alpha = 1.5 * complex(math.cos(0.3), math.sin(0.3))
+    state = coherent_state(layout, 0, alpha)
+    expected = np.array(
+        [alpha**n / math.sqrt(math.factorial(n)) for n in range(layout.cutoff + 1)]
+    )
+    expected /= np.linalg.norm(expected)
+    assert np.max(np.abs(state.to_dense() - expected)) < 1e-14

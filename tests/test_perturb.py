@@ -13,6 +13,7 @@ from bogofisher import (
     BudgetError,
     ModeLayout,
     StateVector,
+    UnitarityError,
     apply_generator,
     beam_splitter,
     build_generator,
@@ -273,3 +274,44 @@ def test_apply_generator_matches_dense_generator(case):
         column = wide_k @ StateVector(wide, {occ: c}).to_dense()
         dropped += float(np.sum(np.abs(column[beyond]) ** 2))
     assert out.leakage == pytest.approx(dropped, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_validity_check_rejects_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        validity_check(theta, 6.0)
+
+
+def test_validity_check_rejects_overflowing_ratio():
+    with pytest.raises(ValueError, match="not finite"):
+        validity_check(1e200, 6.0)
+
+
+def test_build_generator_validates_each_model_once(monkeypatch):
+    from bogofisher import bogoliubov
+
+    validated = []
+    real_validate = bogoliubov.validate
+
+    def counting_validate(model, *args, **kwargs):
+        validated.append(model)
+        return real_validate(model, *args, **kwargs)
+
+    monkeypatch.setattr(bogoliubov, "validate", counting_validate)
+    model = two_mode_squeezer(0, 1, 3)
+    layout = ModeLayout(3, 6)
+    for occ in ([0, 0, 0], [1, 1, 0], [2, 0, 1]):
+        transform_first_order(model, StateVector.from_occupation(layout, occ))
+    assert build_generator(model) is build_generator(model)
+    generator_from_model(model)
+    assert validated == [model]
+    other = two_mode_squeezer(0, 1, 3)
+    assert build_generator(other) is not build_generator(model)
+    assert validated == [model, other]
+
+
+def test_failed_generator_build_is_not_kept():
+    bad = BogoliubovFirstOrder(np.ones(2), np.zeros((2, 2)), np.array([[0, 1.0], [0, 0]]))
+    for _ in range(2):
+        with pytest.raises(UnitarityError):
+            build_generator(bad)

@@ -36,7 +36,6 @@ from .fock import (
     annihilate,
     average_particle_number,
     create,
-    enumerate_complement_basis,
     inner_product,
     partial_trace,
 )
@@ -54,7 +53,6 @@ from .perturb import (
     GeneratorK,
     apply_generator,
     build_generator,
-    free_evolution,
     transform_first_order,
     validity_check,
 )
@@ -106,14 +104,12 @@ __all__ = [
     "coherent_state",
     "create",
     "derivative_states",
-    "enumerate_complement_basis",
     "eval_named_states",
     "evolve_state",
     "exact_unitary",
     "extract_bogoliubov",
     "extract_first_order",
     "fit_scaling",
-    "free_evolution",
     "generator_from_model",
     "hamiltonian",
     "independent_squeezers_generator",

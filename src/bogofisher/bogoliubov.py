@@ -131,9 +131,17 @@ def validate(model: BogoliubovFirstOrder, tol: float = VALIDATION_TOL) -> Valida
 
 
 def ensure_validated(model: BogoliubovFirstOrder) -> None:
+    """Raise UnitarityError unless the model passes :func:`validate`.
+
+    A pass is kept on the instance, whose arrays are read-only, so an
+    instance is validated once however many callers ask.
+    """
+    if vars(model).get("_validated"):
+        return
     report = validate(model)
     if not report.passed:
         raise UnitarityError(report.summary())
+    object.__setattr__(model, "_validated", True)
 
 
 def single_mode_squeezer(k: int, mode_count: int) -> BogoliubovFirstOrder:

@@ -8,10 +8,9 @@ on the occupation vectors so that dense realizations are reproducible.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -26,7 +25,15 @@ Occupation = tuple[int, ...]
 
 @dataclass(frozen=True)
 class ModeLayout:
-    """Truncation of a multimode Fock space to a uniform per-mode cutoff."""
+    """Truncation of a multimode Fock space to a uniform per-mode cutoff.
+
+    A basis state is ranked lexicographically on its occupations, first
+    mode most significant (:meth:`ranks_of`); the rank is also its index
+    in a dense vector.  A layout is refused when its ranks, plus one
+    ladder step, could overflow ``int64``; reading :attr:`basis_size`,
+    which every dense allocation does, is refused past
+    ``DENSE_DIM_BUDGET``.
+    """
 
     mode_count: int
     cutoff: int
@@ -36,38 +43,30 @@ class ModeLayout:
             raise ValueError("mode_count must be at least 1")
         if self.cutoff < 0:
             raise ValueError("cutoff must be non-negative")
-        if self.basis_size > DENSE_DIM_BUDGET:
+        # A rank and a ladder step are each at most (cutoff + 1)^M, so at
+        # most 2^62 basis states keeps their sum inside int64.
+        if self.cutoff and (self.mode_count > 62 or self._size() > 2**62):
             raise BudgetError(
-                f"basis size {(self.cutoff + 1)}^{self.mode_count} exceeds the "
-                f"dense-dimension budget {DENSE_DIM_BUDGET}"
+                f"basis size {self.cutoff + 1}^{self.mode_count} exceeds 2^62, "
+                "the range of int64 ranks"
             )
+
+    def _size(self) -> int:
+        return (self.cutoff + 1) ** self.mode_count
 
     @property
     def basis_size(self) -> int:
-        return (self.cutoff + 1) ** self.mode_count
-
-    def contains(self, occ: Occupation) -> bool:
-        return len(occ) == self.mode_count and all(
-            0 <= n <= self.cutoff for n in occ
-        )
-
-    def index_of(self, occ: Occupation) -> int:
-        """Lexicographic rank of an occupation vector (first mode most significant)."""
-        idx = 0
-        for n in occ:
-            idx = idx * (self.cutoff + 1) + n
-        return idx
-
-    def occupation_of(self, index: int) -> Occupation:
-        dim = self.cutoff + 1
-        occ = []
-        for _ in range(self.mode_count):
-            index, n = divmod(index, dim)
-            occ.append(n)
-        return tuple(reversed(occ))
+        """Dimension of the dense realization, within ``DENSE_DIM_BUDGET``."""
+        size = self._size()
+        if size > DENSE_DIM_BUDGET:
+            raise BudgetError(
+                f"basis size {self.cutoff + 1}^{self.mode_count} exceeds the "
+                f"dense-dimension budget {DENSE_DIM_BUDGET}"
+            )
+        return size
 
     def ranks_of(self, occupations: np.ndarray) -> np.ndarray:
-        """Lexicographic ranks (``index_of``) of the rows of an occupation array."""
+        """Lexicographic ranks of the rows of an occupation array."""
         return occupations @ _place_values(self.cutoff, self.mode_count)
 
     def subset_ranks(
@@ -84,13 +83,6 @@ class ModeLayout:
         """Occupation rows (first mode first) of an array of ranks."""
         places = _place_values(self.cutoff, self.mode_count)
         return ranks[:, None] // places % (self.cutoff + 1)
-
-    def basis(self) -> Iterator[Occupation]:
-        """All occupation vectors in lexicographic order, vacuum first."""
-        return itertools.product(range(self.cutoff + 1), repeat=self.mode_count)
-
-    def vacuum_occupation(self) -> Occupation:
-        return (0,) * self.mode_count
 
 
 @functools.cache
@@ -128,11 +120,8 @@ class ModeSubset:
         return ModeSubset(idx)
 
     def validate_for(self, layout: ModeLayout) -> None:
-        if self.indices and self.indices[-1] >= layout.mode_count:
-            raise ValueError(
-                f"mode index {self.indices[-1]} out of range for "
-                f"{layout.mode_count} modes"
-            )
+        if self.indices:
+            _check_mode(layout.mode_count, self.indices[-1])
 
     def complement(self, mode_count: int) -> tuple[int, ...]:
         kept = set(self.indices)
@@ -143,7 +132,7 @@ class StateVector:
     """Sparse complex superposition over occupation-number basis states.
 
     Held as two arrays: the sorted lexicographic ranks of the occupied
-    basis states (``layout.index_of``, which is also the dense index) and
+    basis states (``layout.ranks_of``, which is also the dense index) and
     their complex128 amplitudes.  Treated as immutable after construction.
     ``leakage`` accumulates the squared magnitudes of contributions
     dropped past the cutoff by operator applications; it is a
@@ -208,10 +197,8 @@ class StateVector:
         # "not <" so that NaN, which fails every comparison, is refused too.
         if not size.max(initial=0.0) < math.inf:
             i = int(np.argmin(size < math.inf))
-            raise ValueError(
-                f"non-finite amplitude {amplitudes[i]} at occupation "
-                f"{layout.occupation_of(int(ranks[i]))}"
-            )
+            occ = tuple(layout.occupations_of(ranks[i : i + 1])[0].tolist())
+            raise ValueError(f"non-finite amplitude {amplitudes[i]} at occupation {occ}")
         kept = size > prune
         self.layout = layout
         self._ranks = ranks[kept]
@@ -222,15 +209,11 @@ class StateVector:
 
     @classmethod
     def vacuum(cls, layout: ModeLayout) -> "StateVector":
-        return cls(layout, {layout.vacuum_occupation(): 1.0})
+        return cls.from_occupation(layout, (0,) * layout.mode_count)
 
     @classmethod
     def from_occupation(cls, layout: ModeLayout, occ: Iterable[int]) -> "StateVector":
-        occ = tuple(int(n) for n in occ)
-        if not layout.contains(occ):
-            raise ValueError(f"occupation {occ} outside layout {layout}")
-        rank = np.array([layout.index_of(occ)], dtype=np.int64)
-        return cls._from_ranks(layout, rank, np.ones(1, dtype=np.complex128))
+        return cls(layout, {tuple(int(n) for n in occ): 1.0})
 
     @classmethod
     def from_dense(
@@ -264,14 +247,13 @@ class StateVector:
         return tuple(map(tuple, self.occupations().tolist()))
 
     def amplitude(self, occ: Iterable[int]) -> complex:
-        occ = tuple(int(n) for n in occ)
-        if not self.layout.contains(occ):
+        """The amplitude of one occupation; 0 for one outside the layout."""
+        try:
+            probe = StateVector.from_occupation(self.layout, occ)
+        except ValueError:
             return 0.0 + 0.0j
-        rank = self.layout.index_of(occ)
-        i = int(np.searchsorted(self._ranks, rank))
-        if i < self._ranks.size and self._ranks[i] == rank:
-            return complex(self._amps[i])
-        return 0.0 + 0.0j
+        pos, hit = _lookup(self._ranks, probe.ranks)
+        return complex(self._amps[pos[0]]) if hit[0] else 0.0 + 0.0j
 
     def __len__(self) -> int:
         return int(self._ranks.size)
@@ -407,7 +389,7 @@ def create(state: StateVector, mode: int) -> StateVector:
     Contributions that would exceed the cutoff are dropped and their
     squared norm added to the result's leakage counter.
     """
-    _check_mode(state.layout, mode)
+    _check_mode(state.layout.mode_count, mode)
     n = state.occupations()[:, mode]
     amps = state.amplitudes * np.sqrt(n + 1)
     fits = n < state.layout.cutoff
@@ -421,7 +403,7 @@ def create(state: StateVector, mode: int) -> StateVector:
 
 def annihilate(state: StateVector, mode: int) -> StateVector:
     """Apply the annihilation operator for one mode; amplitude factor sqrt(n)."""
-    _check_mode(state.layout, mode)
+    _check_mode(state.layout.mode_count, mode)
     n = state.occupations()[:, mode]
     fits = n > 0
     step = _place_values(state.layout.cutoff, state.layout.mode_count)[mode]
@@ -454,41 +436,32 @@ def average_particle_number(state: StateVector) -> float:
     return math.fsum((_abs2(state.amplitudes) * totals).tolist())
 
 
-def enumerate_complement_basis(
-    layout: ModeLayout, keep: ModeSubset
-) -> Iterator[Occupation]:
-    """All occupation vectors of the complement modes, vacuum first.
-
-    With an empty complement this yields exactly one empty tuple.
-    """
-    keep.validate_for(layout)
-    comp = keep.complement(layout.mode_count)
-    return itertools.product(range(layout.cutoff + 1), repeat=len(comp))
-
-
 def partial_trace(state: StateVector, keep: ModeSubset) -> DensityOperator:
     """Reduced density operator on ``keep``; trace equals the input squared norm."""
     keep.validate_for(state.layout)
-    kept = keep.indices
-    comp = keep.complement(state.layout.mode_count)
-    sub_layout = ModeLayout(len(kept), state.layout.cutoff)
-    dim = sub_layout.basis_size
-    # Group amplitudes by the traced-out occupation; each group contributes
-    # a rank-one outer product.
-    groups: dict[Occupation, dict[int, complex]] = {}
-    for occ, c in state.items():
-        c_part = tuple(occ[m] for m in comp)
-        k_index = sub_layout.index_of(tuple(occ[m] for m in kept))
-        groups.setdefault(c_part, {})[k_index] = c
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    for c_part in sorted(groups):
-        vec = np.zeros(dim, dtype=np.complex128)
-        for k_index, c in groups[c_part].items():
-            vec[k_index] = c
-        rho += np.outer(vec, vec.conj())
-    return DensityOperator(sub_layout, rho)
+    rho = _reduced_dense(state.to_dense(), state.layout, keep)
+    return DensityOperator(ModeLayout(len(keep.indices), state.layout.cutoff), rho)
 
 
-def _check_mode(layout: ModeLayout, mode: int) -> None:
-    if not 0 <= mode < layout.mode_count:
-        raise ValueError(f"mode {mode} out of range for {layout.mode_count} modes")
+def _reduced_dense(vec: np.ndarray, layout: ModeLayout, keep: ModeSubset) -> np.ndarray:
+    """Partial trace over the complement of ``keep`` of the dense vector ``vec``.
+
+    Rows and columns are the ranks of the kept modes in their own layout.
+    """
+    kept = list(keep.indices)
+    axes = kept + list(keep.complement(layout.mode_count))
+    tensor = vec.reshape((layout.cutoff + 1,) * layout.mode_count).transpose(axes)
+    flat = tensor.reshape(ModeLayout(len(kept), layout.cutoff).basis_size, -1)
+    return flat @ flat.conj().T
+
+
+def _check_mode(mode_count: int, mode: int) -> None:
+    if not 0 <= mode < mode_count:
+        raise ValueError(f"mode index {mode} out of range for {mode_count} modes")
+
+
+def _check_mode_pair(mode_count: int, k: int, kprime: int) -> None:
+    _check_mode(mode_count, k)
+    _check_mode(mode_count, kprime)
+    if k == kprime:
+        raise ValueError("the two modes must be distinct")

@@ -17,14 +17,20 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bogoliubov import BogoliubovFirstOrder, is_json_int
+from .bogoliubov import BogoliubovFirstOrder, _json_number, is_json_int
 from .errors import ModelFormatError, SupportError
-from .fock import ModeLayout, ModeSubset, StateVector, _lookup, average_particle_number
+from .fock import (
+    ModeLayout,
+    ModeSubset,
+    StateVector,
+    _check_mode,
+    _check_mode_pair,
+    _lookup,
+    average_particle_number,
+)
 from .perturb import transform_first_order, validity_check
 from .qfi import (
     DEFAULT_THETA,
-    _check_mode,
-    _check_mode_pair,
     _clamp_nonnegative,
     _complement_reference,
     _pair_and_loss,
@@ -92,9 +98,9 @@ def scan_fock(
     from .oracle import _operator, generator_from_model, qfi_fidelity_pure
 
     if kprime is None:
-        _check_mode(model, k)
+        _check_mode(model.mode_count, k)
     else:
-        _check_mode_pair(model, k, kprime)
+        _check_mode_pair(model.mode_count, k, kprime)
     n_values = [int(n) for n in n_values]
     if not n_values:
         raise ValueError("empty scan range")
@@ -254,7 +260,7 @@ def eval_named_states(
     """
     if n < 2:
         raise ValueError("named-state evaluation requires n >= 2")
-    _check_mode_pair(model, k, kprime)
+    _check_mode_pair(model.mode_count, k, kprime)
     layout = ModeLayout(model.mode_count, n + 4)
     sqrt2, sqrt3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -633,11 +639,8 @@ def load_state_document(
 
 
 def _finite_part(entry: Mapping, key: str) -> float:
-    """The real or imaginary part of a state entry (0 when omitted), finite."""
-    try:
-        value = float(entry.get(key, 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f'state "{key}" must be a number') from exc
+    """The real or imaginary part of a state entry (0 when omitted): a finite number."""
+    value = _json_number(entry.get(key, 0.0), f'state "{key}"')
     if not math.isfinite(value):
         raise ModelFormatError(f'state "{key}" must be finite, got {value}')
     return value

@@ -38,7 +38,16 @@ from scipy.sparse.linalg import expm_multiply
 
 from .bogoliubov import BogoliubovFirstOrder
 from .errors import BudgetError, ModelFormatError
-from .fock import DensityOperator, ModeLayout, ModeSubset, StateVector
+from .fock import (
+    DensityOperator,
+    ModeLayout,
+    ModeSubset,
+    StateVector,
+    _check_mode,
+    _check_mode_pair,
+    _place_values,
+    _reduced_dense,
+)
 from .perturb import build_generator
 
 DEFAULT_DTHETA_FIRST = 1e-4
@@ -118,8 +127,7 @@ def squeezer_generator(k: int, mode_count: int, strength: float = 1.0) -> Genera
 
 def two_mode_squeezer_generator(k: int, kprime: int, mode_count: int) -> GeneratorSpec:
     """H = i(a_k a_k' - a_k^dag a_k'^dag); beta_kk' = beta_k'k = sinh(theta)."""
-    if k == kprime:
-        raise ValueError("the two modes must be distinct")
+    _check_mode_pair(mode_count, k, kprime)
     g = np.zeros((mode_count, mode_count), dtype=np.complex128)
     g[k, kprime] = -1j
     g[kprime, k] = -1j
@@ -128,8 +136,7 @@ def two_mode_squeezer_generator(k: int, kprime: int, mode_count: int) -> Generat
 
 def beam_splitter_generator(k: int, kprime: int, mode_count: int) -> GeneratorSpec:
     """H = i(a_k^dag a_k' - a_k a_k'^dag); alpha1_kk' = 1, alpha1_k'k = -1."""
-    if k == kprime:
-        raise ValueError("the two modes must be distinct")
+    _check_mode_pair(mode_count, k, kprime)
     h = np.zeros((mode_count, mode_count), dtype=np.complex128)
     h[k, kprime] = 1j
     h[kprime, k] = -1j
@@ -161,16 +168,16 @@ def generator_from_model(model: BogoliubovFirstOrder) -> GeneratorSpec:
 def hamiltonian(gen: GeneratorSpec, layout: ModeLayout) -> scipy.sparse.csr_matrix:
     """Sparse truncated realization P H P of the quadratic Hamiltonian.
 
-    Entries come from occupation arithmetic on the lexicographic basis: a
-    hop from mode n to mode m moves the basis index by stride[m] -
-    stride[n], a pair creation on modes (p, q) by stride[p] + stride[q].
-    Couplings past the cutoff drop.
+    Entries come from occupation arithmetic on the lexicographic basis
+    (``ModeLayout.ranks_of``): a hop from mode n to mode m moves the basis
+    index by stride[m] - stride[n], a pair creation on modes (p, q) by
+    stride[p] + stride[q].  Couplings past the cutoff drop.
     """
     if gen.mode_count != layout.mode_count:
         raise ValueError("generator and layout have different mode counts")
     cutoff = layout.cutoff
     occ = _occupations(layout)
-    stride = (cutoff + 1) ** np.arange(layout.mode_count - 1, -1, -1)
+    stride = _place_values(cutoff, layout.mode_count)
     rows = [np.zeros(0, dtype=np.intp)]
     cols = [np.zeros(0, dtype=np.intp)]
     vals = [np.zeros(0, dtype=np.complex128)]
@@ -209,8 +216,7 @@ def hamiltonian(gen: GeneratorSpec, layout: ModeLayout) -> scipy.sparse.csr_matr
 
 def _occupations(layout: ModeLayout) -> np.ndarray:
     """Occupation of each mode (rows) in each basis state (columns)."""
-    shape = (layout.cutoff + 1,) * layout.mode_count
-    return np.array(np.unravel_index(np.arange(layout.basis_size), shape))
+    return np.ascontiguousarray(layout.occupations_of(np.arange(layout.basis_size)).T)
 
 
 def _operator(gen: GeneratorSpec, layout: ModeLayout) -> tuple[scipy.sparse.csr_matrix, float]:
@@ -404,18 +410,6 @@ def _psd_spectrum(eigs: np.ndarray, what: str) -> np.ndarray:
     return np.where(eigs > 1e-12 * scale, eigs, 0.0)
 
 
-def _reduced_dense(
-    vec: np.ndarray, layout: ModeLayout, keep: ModeSubset
-) -> np.ndarray:
-    dim = layout.cutoff + 1
-    kept = list(keep.indices)
-    comp = list(keep.complement(layout.mode_count))
-    tensor = vec.reshape((dim,) * layout.mode_count)
-    rearranged = np.transpose(tensor, axes=kept + comp)
-    flat = rearranged.reshape(dim ** len(kept), dim ** len(comp))
-    return flat @ flat.conj().T
-
-
 def qfi_fidelity_mixed(
     gen: GeneratorSpec,
     state: StateVector,
@@ -433,7 +427,6 @@ def qfi_fidelity_mixed(
     if not state.is_normalized(1e-9):
         raise ValueError("input state must be normalized")
     keep.validate_for(state.layout)
-    ModeLayout(len(keep.indices), state.layout.cutoff)  # dense budget check
     v0, sweep = _propagation(gen, state, shell_budget)
     rho0 = _reduced_dense(v0, state.layout, keep)
     minus_h, minus_half, plus_half, plus_h = sweep(-dtheta, dtheta, 5)[_OFF_CENTER]
@@ -565,8 +558,8 @@ def coherent_state(
     boundary-shell leakage budget as the sparse ``expm_multiply``
     propagator.
     """
-    if not 0 <= mode < layout.mode_count:
-        raise ValueError(f"mode {mode} out of range")
+    _check_mode(layout.mode_count, mode)
+    dim = layout.basis_size
     levels = np.arange(layout.cutoff + 1)
     amplitudes = (levels == 0).astype(np.complex128)
     if alpha != 0:
@@ -575,8 +568,8 @@ def coherent_state(
         log_factorial = np.array([math.lgamma(n + 1.0) for n in levels])
         log_size = levels * math.log(abs(alpha)) - 0.5 * log_factorial
         amplitudes = np.exp(log_size - log_size.max() + 1j * cmath.phase(alpha) * levels)
-    vec = np.zeros(layout.basis_size, dtype=np.complex128)
-    vec[levels * (layout.cutoff + 1) ** (layout.mode_count - 1 - mode)] = amplitudes
+    vec = np.zeros(dim, dtype=np.complex128)
+    vec[levels * _place_values(layout.cutoff, layout.mode_count)[mode]] = amplitudes
     vec /= np.linalg.norm(vec)
     _check_shell_weight(vec, _shell_mask(layout), shell_budget)
     return StateVector.from_dense(layout, vec)

@@ -90,10 +90,11 @@ class FirstOrderPair:
 def build_generator(model: BogoliubovFirstOrder) -> GeneratorK:
     """Construct K from a validated model; asserts anti-Hermiticity.
 
-    K is kept on the model instance, so a model is validated and K built
-    once however many transforms use it.  The model's arrays are
-    read-only copies made at construction, so the kept K cannot go
-    stale.  A model that fails is not kept and fails again on every call.
+    K is kept on the model instance, so it is built once however many
+    transforms use it (and ``ensure_validated`` validates an instance
+    once).  The model's arrays are read-only copies made at construction,
+    so the kept K cannot go stale.  A model that fails is not kept and
+    fails again on every call.
     """
     gen = vars(model).get("_generator")
     if gen is not None:
@@ -169,7 +170,9 @@ def apply_generator(gen: GeneratorK, state: StateVector) -> StateVector:
     # largest lifted entry is the largest output occupation that can
     # pass the cutoff (every other mode keeps or lowers its occupation).
     lifted = state.occupations()[:, rows[:, :2]] + rows[:, 2:4]  # (terms, rows, 2)
-    factor = np.sqrt(lifted.prod(axis=2))
+    # The product is formed in float64: in int64 it wraps once occupations
+    # pass about 3e9, which a one-mode layout allows.
+    factor = np.sqrt(lifted[..., 0].astype(float) * lifted[..., 1])
     value = _cmul(state.amplitudes[:, None], coeff) * scale * factor
     live = factor > 0.0
     over = lifted.max(axis=2) > layout.cutoff
@@ -180,15 +183,13 @@ def apply_generator(gen: GeneratorK, state: StateVector) -> StateVector:
     return StateVector._from_ranks(layout, ranks, amps, state.leakage + lost)
 
 
-def free_evolution(model: BogoliubovFirstOrder, state: StateVector) -> StateVector:
-    """Multiply each basis term by prod_n G_n^occupation."""
-    return _free_evolution(model, [state])[0]
-
-
-def _free_evolution(
+def _rephased(
     model: BogoliubovFirstOrder, states: list[StateVector]
 ) -> list[StateVector]:
-    """:func:`free_evolution` of states on one layout, in one pass over the modes."""
+    """The free evolution U0 of states on one layout, in one pass over the modes.
+
+    Each basis term is multiplied by prod_n G_n^occupation.
+    """
     layout = states[0].layout
     if model.mode_count != layout.mode_count:
         raise ValueError("model and state have different mode counts")
@@ -229,7 +230,7 @@ def transform_first_order(
         raise BudgetError(
             f"first-order truncation leakage {k_psi.leakage:.3e} exceeds budget"
         )
-    psi0, psi1 = _free_evolution(model, [state, k_psi])
+    psi0, psi1 = _rephased(model, [state, k_psi])
     return FirstOrderPair(psi0, psi1)
 
 

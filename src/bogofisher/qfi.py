@@ -28,6 +28,8 @@ from .fock import (
     ModeSubset,
     StateVector,
     _abs2,
+    _check_mode,
+    _check_mode_pair,
     _cmul,
     _lookup,
     _sum_by,
@@ -198,7 +200,7 @@ def qfi_fock_closed(
     """
     if n < 0:
         raise ValueError("occupation must be non-negative")
-    _check_mode(model, k)
+    _check_mode(model.mode_count, k)
     beta = model.beta1
     alpha = model.alpha1
     diag = 2.0 * n * (n + 1) * abs(beta[k, k]) ** 2
@@ -227,7 +229,7 @@ def qfi_two_mode_closed(
     """
     if n < 0 or m < 0:
         raise ValueError("occupations must be non-negative")
-    _check_mode_pair(model, k, kprime)
+    _check_mode_pair(model.mode_count, k, kprime)
     beta = model.beta1
     alpha = model.alpha1
     cross = 8.0 * m * n * (abs(alpha[k, kprime]) ** 2 + abs(beta[k, kprime]) ** 2)
@@ -278,18 +280,6 @@ def _column_weight(
             continue
         total += abs(alpha[p, k]) ** 2 + abs(beta[p, k]) ** 2
     return total
-
-
-def _check_mode(model: BogoliubovFirstOrder, k: int) -> None:
-    if not 0 <= k < model.mode_count:
-        raise ValueError(f"mode index {k} out of range for {model.mode_count} modes")
-
-
-def _check_mode_pair(model: BogoliubovFirstOrder, k: int, kprime: int) -> None:
-    _check_mode(model, k)
-    _check_mode(model, kprime)
-    if k == kprime:
-        raise ValueError("the two modes must be distinct")
 
 
 def _clamp_nonnegative(value: float) -> float:

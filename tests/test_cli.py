@@ -147,6 +147,39 @@ def test_scan_budget_failure_exit_three(squeezer_doc, capsys):
     assert err["error"] == "BudgetError"
 
 
+def test_dense_budget_only_where_dense_arrays_are_made(tmp_path, capsys):
+    six = {"builtin": "beam_splitter", "k": 0, "kprime": 1, "modes": 6}
+    model = write_json(tmp_path / "bs6.json", six)
+    # Occupation 2 gives the default cutoff 8: 9^6 basis states, never allocated.
+    state = write_json(tmp_path / "s6.json", [{"occ": [2, 0, 0, 0, 0, 0], "re": 1.0}])
+    assert cli_main(["qfi", model, "--state", state]) == 0
+    assert json.loads(capsys.readouterr().out)["qfi"] == pytest.approx(8.0)
+    # scan runs the oracle, whose Hamiltonian is dense-dimensional.
+    assert cli_main(["scan", model, "--n", "0..1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dense-dimension budget" in _single_error_line(captured.err)["message"]
+    # 3^40 ranks would overflow int64 on the sparse route too.
+    forty = write_json(tmp_path / "bs40.json", {**six, "modes": 40})
+    state = write_json(tmp_path / "s40.json", [{"occ": [1] + [0] * 39, "re": 1.0}])
+    assert cli_main(["qfi", forty, "--state", state, "--cutoff", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = _single_error_line(captured.err)
+    assert error["error"] == "BudgetError"
+    assert "2^62" in error["message"]
+
+
+def test_qfi_at_occupations_past_int64_products(squeezer_doc, tmp_path, capsys):
+    # (n + 1)(n + 2) overflows int64 at this n; one mode keeps the ranks small.
+    n = 5_000_000_000
+    state = write_json(tmp_path / "big.json", [{"occ": [n], "re": 1.0}])
+    assert cli_main(["qfi", squeezer_doc, "--state", state]) == 0
+    model = bogofisher.load_model(json.loads(open(squeezer_doc).read()))
+    closed = bogofisher.qfi_fock_closed(model, n, 0)
+    assert json.loads(capsys.readouterr().out)["qfi"] == pytest.approx(closed.qfi, rel=1e-12)
+
+
 def test_named_output(tms_doc, capsys):
     assert cli_main(["named", tms_doc, "--n", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -319,6 +352,23 @@ def test_non_finite_state_amplitude_exits_two(squeezer_doc, tmp_path, capsys, pa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert _single_error_line(captured.err)["error"] == "ModelFormatError"
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize(
+    "value", [True, "1.0", None, [1.0], 10**400], ids=["bool", "str", "null", "list", "huge"]
+)
+def test_non_number_state_amplitude_exits_two(tms_doc, tmp_path, capsys, part, value):
+    # The only term, so the value is not caught by the norm check instead.
+    entry = {"occ": [1, 1], "re": 0.0, "im": 0.0}
+    entry[part] = value
+    state = write_json(tmp_path / "state.json", [entry])
+    assert cli_main(["qfi", tms_doc, "--state", state]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = _single_error_line(captured.err)
+    assert error["error"] == "ModelFormatError"
+    assert f'state "{part}"' in error["message"]
 
 
 def _reject_constant(name):

@@ -1,5 +1,6 @@
 """Fock-space core: ladder operators, inner products, partial trace."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from bogofisher import (
     annihilate,
     average_particle_number,
     create,
-    enumerate_complement_basis,
     inner_product,
     partial_trace,
 )
@@ -176,34 +176,32 @@ def test_average_particle_number_global_phase_invariant(phase, seed):
     )
 
 
-def test_enumerate_complement_basis_single_mode():
-    layout = ModeLayout(2, 2)
-    occs = list(enumerate_complement_basis(layout, ModeSubset.of([0])))
-    assert occs == [(0,), (1,), (2,)]
-
-
-def test_enumerate_complement_basis_empty_complement():
-    layout = ModeLayout(2, 2)
-    occs = list(enumerate_complement_basis(layout, ModeSubset.of([0, 1])))
-    assert occs == [()]
-
-
-def test_enumerate_complement_basis_two_modes_vacuum_first():
-    layout = ModeLayout(3, 1)
-    occs = list(enumerate_complement_basis(layout, ModeSubset.of([1])))
-    assert occs == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
 def test_layout_budget_enforced():
-    with pytest.raises(BudgetError):
-        ModeLayout(10, 5)
+    # 6^10 basis states: the sparse route runs, and every dense realization
+    # (which reads basis_size) is refused.
+    layout = ModeLayout(10, 5)
+    state = StateVector.from_occupation(layout, [1] + [0] * 9)
+    assert create(state, 9).support() == ((1,) + (0,) * 8 + (1,),)
+    with pytest.raises(BudgetError, match="dense-dimension budget"):
+        state.to_dense()
+    with pytest.raises(BudgetError, match="dense-dimension budget"):
+        partial_trace(state, ModeSubset.of([0]))
+    with pytest.raises(BudgetError, match="dense-dimension budget"):
+        StateVector.from_dense(layout, np.zeros(6))
+    # Ranks plus a ladder step must fit int64: up to 2^62 basis states.
+    top = ModeLayout(62, 1)
+    assert top.ranks_of(np.ones((1, 62), dtype=np.int64)).tolist() == [2**62 - 1]
+    for modes, cutoff in [(63, 1), (40, 2), (1, 2**62)]:
+        with pytest.raises(BudgetError, match="2\\^62"):
+            ModeLayout(modes, cutoff)
+    assert len(StateVector.vacuum(ModeLayout(1000, 0))) == 1
 
 
 def test_layout_indexing_roundtrip():
     layout = ModeLayout(3, 3)
-    for index, occ in enumerate(layout.basis()):
-        assert layout.index_of(occ) == index
-        assert layout.occupation_of(index) == occ
+    basis = np.array(list(itertools.product(range(4), repeat=3)))
+    assert layout.ranks_of(basis).tolist() == list(range(len(basis)))
+    assert np.array_equal(layout.occupations_of(np.arange(len(basis))), basis)
 
 
 def test_state_prunes_tiny_amplitudes():
@@ -263,7 +261,7 @@ def test_state_vector_prunes_at_prune_eps():
 def test_state_vector_arrays_are_sorted_ranks_and_amplitudes():
     layout = ModeLayout(2, 3)
     state = StateVector(layout, {(2, 1): 3.0, (0, 1): 1.0, (1, 0): 2j})
-    assert state.ranks.tolist() == [layout.index_of(o) for o in [(0, 1), (1, 0), (2, 1)]]
+    assert state.ranks.tolist() == [1, 4, 9]
     assert state.amplitudes.tolist() == [1.0, 2j, 3.0]
     assert state.items() == [((0, 1), 1.0), ((1, 0), 2j), ((2, 1), 3.0)]
     assert state.amplitude((1, 0)) == 2j

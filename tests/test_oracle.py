@@ -290,6 +290,11 @@ def test_coherent_state_budget_violation():
         coherent_state(ModeLayout(1, 6), 0, 3.0)
 
 
+def test_coherent_state_refuses_oversize_dense_vector_before_building_it():
+    with pytest.raises(BudgetError, match="dense-dimension budget"):
+        coherent_state(ModeLayout(1, 10**9), 0, 1.0)
+
+
 def test_evolve_state_budget_violation():
     gen = squeezer_generator(0, 1)
     layout = ModeLayout(1, 4)

@@ -20,6 +20,7 @@ from bogofisher import (
     derivative_states,
     generator_from_model,
     inner_product,
+    load_model,
     single_mode_squeezer,
     transform_first_order,
     two_mode_squeezer,
@@ -268,7 +269,7 @@ def test_apply_generator_matches_dense_generator(case):
     # the amplitudes of K|term> beyond the cutoff in a layout two wider.
     wide = ModeLayout(modes, cutoff + 2)
     wide_k = dense_generator_matrix(gen, wide)
-    beyond = np.array([max(occ) > cutoff for occ in wide.basis()])
+    beyond = wide.occupations_of(np.arange(wide.basis_size)).max(axis=1) > cutoff
     dropped = 0.0
     for occ, c in state.items():
         column = wide_k @ StateVector(wide, {occ: c}).to_dense()
@@ -298,13 +299,17 @@ def test_build_generator_validates_each_model_once(monkeypatch):
         return real_validate(model, *args, **kwargs)
 
     monkeypatch.setattr(bogoliubov, "validate", counting_validate)
-    model = two_mode_squeezer(0, 1, 3)
     layout = ModeLayout(3, 6)
-    for occ in ([0, 0, 0], [1, 1, 0], [2, 0, 1]):
-        transform_first_order(model, StateVector.from_occupation(layout, occ))
-    assert build_generator(model) is build_generator(model)
-    generator_from_model(model)
-    assert validated == [model]
+    # A model read by load_model is validated there and never again.
+    doc = {"builtin": "two_mode_squeezer", "k": 0, "kprime": 1, "modes": 3}
+    for start in (lambda: two_mode_squeezer(0, 1, 3), lambda: load_model(doc)):
+        validated.clear()
+        model = start()
+        for occ in ([0, 0, 0], [1, 1, 0], [2, 0, 1]):
+            transform_first_order(model, StateVector.from_occupation(layout, occ))
+        assert build_generator(model) is build_generator(model)
+        generator_from_model(model)
+        assert validated == [model]
     other = two_mode_squeezer(0, 1, 3)
     assert build_generator(other) is not build_generator(model)
     assert validated == [model, other]

@@ -17,24 +17,23 @@ import sys
 from typing import Any, Sequence
 
 from . import harness
-from .bogoliubov import is_json_int, load_model, parse_model, validate
+from .bogoliubov import load_model, parse_model, validate
 from .errors import (
     BogofisherError,
     BudgetError,
     ModelFormatError,
+    NumericalBreakdownError,
     SupportError,
     UnitarityError,
     UsageError,
 )
-from .fock import ModeLayout, ModeSubset, average_particle_number
+from .fock import ModeSubset, average_particle_number
 from .perturb import transform_first_order
 from .qfi import DEFAULT_THETA, qfi_pure, qfi_pure_report, qfi_reduced, vacuum_qfi
 
 _EXIT_USAGE = 1
 _EXIT_VALIDATION = 2
 _EXIT_BUDGET = 3
-
-DEFAULT_STATE_CUTOFF_MARGIN = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,18 +133,6 @@ def _read_json(path: str) -> Any:
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _state_layout(model, doc, explicit_cutoff: int | None) -> ModeLayout:
-    max_occ = 0
-    if isinstance(doc, list):
-        for entry in doc:
-            if isinstance(entry, dict) and isinstance(entry.get("occ"), list):
-                candidates = [x for x in entry["occ"] if is_json_int(x)]
-                if candidates:
-                    max_occ = max(max_occ, max(candidates))
-    cutoff = explicit_cutoff if explicit_cutoff is not None else max_occ + DEFAULT_STATE_CUTOFF_MARGIN
-    return ModeLayout(model.mode_count, cutoff)
-
-
 def _keep_subset(indices: tuple[int, ...] | None) -> ModeSubset | None:
     if indices is None:
         return None
@@ -190,9 +177,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_qfi(args) -> int:
     model = load_model(_read_json(args.model))
-    doc = _read_json(args.state)
-    layout = _state_layout(model, doc, args.cutoff)
-    state = harness.load_state_document(doc, layout)
+    state = harness._load_state(_read_json(args.state), model.mode_count, args.cutoff)
     keep = _keep_subset(args.keep)
     if keep is None:
         report = qfi_pure_report(transform_first_order(model, state), theta=args.theta)
@@ -209,7 +194,7 @@ def _cmd_qfi(args) -> int:
             "delta_theta_bound": report.cramer_rao(args.nu),
         },
         "average_n": average_particle_number(state),
-        "cutoff": layout.cutoff,
+        "cutoff": state.layout.cutoff,
     }
     if report.tracing_loss is not None:
         payload["tracing_loss"] = report.tracing_loss
@@ -302,9 +287,7 @@ def _cmd_oracle_compare(args) -> int:
     from .oracle import derivative_states, generator_from_model, qfi_fidelity_pure
 
     model = load_model(_read_json(args.model))
-    doc = _read_json(args.state)
-    layout = _state_layout(model, doc, args.cutoff)
-    state = harness.load_state_document(doc, layout)
+    state = harness._load_state(_read_json(args.state), model.mode_count, args.cutoff)
     generator = generator_from_model(model)
     pair = transform_first_order(model, state)
     perturb_value = qfi_pure(pair)
@@ -322,7 +305,7 @@ def _cmd_oracle_compare(args) -> int:
             "agree": bool(
                 abs(perturb_value - estimate.value) <= tolerance and psi1_distance < 1e-6
             ),
-            "cutoff": layout.cutoff,
+            "cutoff": state.layout.cutoff,
         }
     )
     return 0
@@ -340,10 +323,15 @@ _COMMANDS = {
 
 def cli_main(argv: Sequence[str]) -> int:
     """Run one CLI invocation; returns the process exit code."""
+    import warnings
+
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING)
     try:
-        args = _build_parser().parse_args(list(argv))
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            # numpy warns when a float overflows or turns NaN: stop there.
+            warnings.simplefilter("error", RuntimeWarning)
+            args = _build_parser().parse_args(list(argv))
+            return _COMMANDS[args.command](args)
     except (UsageError, SupportError, ValueError) as exc:
         _emit_error(exc)
         return _EXIT_USAGE
@@ -352,6 +340,9 @@ def cli_main(argv: Sequence[str]) -> int:
         return _EXIT_VALIDATION
     except BudgetError as exc:
         _emit_error(exc)
+        return _EXIT_BUDGET
+    except (OverflowError, RuntimeWarning) as exc:
+        _emit_error(NumericalBreakdownError(f"{exc}; numerical breakdown"))
         return _EXIT_BUDGET
     except BogofisherError as exc:  # pragma: no cover - safety net
         _emit_error(exc)

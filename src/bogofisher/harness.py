@@ -13,11 +13,11 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bogoliubov import BogoliubovFirstOrder, _json_number, is_json_int
+from .bogoliubov import BogoliubovFirstOrder, _json_number
 from .errors import ModelFormatError, SupportError
 from .fock import (
     ModeLayout,
@@ -46,6 +46,7 @@ logger = logging.getLogger(__name__)
 CSV_HEADER = "n,m,qfi_closed,qfi_perturb,qfi_oracle,tracing_loss,validity_ratio,cutoff,oracle_err"
 
 DEFAULT_CUTOFF_MARGIN = 6
+_SUPPORT_CUTOFF_MARGIN = 2
 DEFAULT_SEED = 7
 DEFAULT_RESTARTS = 8
 DEFAULT_MAX_ITER = 2000
@@ -318,11 +319,6 @@ class OptimizationResult:
     stationarity_residual: float
     restarts: tuple[RestartLog, ...]
 
-    def state(self, layout: ModeLayout) -> StateVector:
-        return StateVector(
-            layout, dict(zip(self.support, self.amplitudes)), prune=0.0
-        )
-
 
 def optimize_state(
     model: BogoliubovFirstOrder,
@@ -354,34 +350,38 @@ def optimize_state(
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    support_t = tuple(tuple(int(x) for x in occ) for occ in support)
-    if not support_t:
+    if len(support) == 0:
         raise SupportError("support must be non-empty")
-    if len(set(support_t)) != len(support_t):
-        raise SupportError("support contains duplicate occupation vectors")
-    if any(len(occ) != model.mode_count for occ in support_t):
+    try:
+        occ = np.array(support, dtype=np.int64, ndmin=2)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SupportError(f"support occupations must be integer vectors: {exc}") from exc
+    if occ.ndim != 2 or occ.shape[1] != model.mode_count:
         raise SupportError("support occupation length must match the mode count")
-    if any(x < 0 for occ in support_t for x in occ):
+    if (occ < 0).any():
         raise SupportError("occupations must be non-negative")
-    totals = np.array([float(sum(occ)) for occ in support_t])
+    layout = ModeLayout(model.mode_count, int(occ.max()) + _SUPPORT_CUTOFF_MARGIN)
+    ranks = layout.ranks_of(occ)
+    order = np.argsort(ranks)
+    if (ranks[order][1:] == ranks[order][:-1]).any():
+        raise SupportError("support contains duplicate occupation vectors")
+    totals = occ.sum(axis=1).astype(float)
     if not (totals.min() - 1e-9 <= target_n <= totals.max() + 1e-9):
         raise SupportError(
             f"target average occupation {target_n} outside the feasible range "
             f"[{totals.min()}, {totals.max()}] of the support"
         )
-    max_occ = max(max(occ) for occ in support_t)
-    layout = ModeLayout(model.mode_count, max_occ + 2)
-    size = len(support_t)
+    size = len(occ)
 
     def score(c: np.ndarray) -> float:
-        state = StateVector(layout, dict(zip(support_t, c)), prune=0.0)
+        state = StateVector._from_ranks(layout, ranks[order], c[order], prune=0.0)
         pair = transform_first_order(model, state)
         value = qfi_pure(pair)
         if keep is not None:
             value -= tracing_loss(model, state, keep)
         return value
 
-    compiled = _support_score(model, layout, support_t, keep)
+    compiled = _support_score(model, layout, occ, keep)
     retract = _retraction(totals, target_n)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -428,7 +428,7 @@ def optimize_state(
     )
     _, grad = objective(np.concatenate([best_c.real, best_c.imag]))
     return OptimizationResult(
-        support=support_t,
+        support=tuple(map(tuple, occ.tolist())),
         amplitudes=best_c,
         qfi=best_score,
         constraint_residual=residual,
@@ -440,7 +440,7 @@ def optimize_state(
 def _support_score(
     model: BogoliubovFirstOrder,
     layout: ModeLayout,
-    support: tuple[tuple[int, ...], ...],
+    support: Sequence[Sequence[int]],
     keep: ModeSubset | None,
 ) -> Callable[..., Any]:
     """The (reduced) first-order QFI on a fixed support as a function of c.
@@ -595,69 +595,82 @@ def _lex_key(c: np.ndarray) -> tuple:
     return tuple(float(v) for pair in zip(c.real, c.imag) for v in pair)
 
 
-def load_state_document(
-    doc: Any, layout: ModeLayout, norm_tol: float = 1e-9
-) -> StateVector:
+def load_state_document(doc: Any, layout: ModeLayout) -> StateVector:
     """Parse a state document: a JSON list of {"occ": [...], "re": x, "im": y}.
 
-    Normalization is enforced at ``norm_tol``; in-tolerance deviations are
+    Normalization is enforced at 1e-9; in-tolerance deviations are
     renormalized exactly and logged.
     """
+    return _load_state(doc, layout.mode_count, layout.cutoff)
+
+
+def _load_state(doc: Any, mode_count: int, cutoff: int | None) -> StateVector:
+    """:func:`load_state_document`; no cutoff means largest occupation + DEFAULT_CUTOFF_MARGIN."""
     if not isinstance(doc, list) or not doc:
         raise ModelFormatError("state document must be a non-empty JSON list")
-    amplitudes: dict[tuple[int, ...], complex] = {}
-    for entry in doc:
-        if not isinstance(entry, Mapping) or set(entry) - {"occ", "re", "im"}:
-            raise ModelFormatError(
-                'state entries must be objects with keys "occ", "re", "im"'
-            )
-        occ_raw = entry.get("occ")
-        if not isinstance(occ_raw, list) or not all(is_json_int(x) for x in occ_raw):
-            raise ModelFormatError('state "occ" must be a list of integers')
-        occ = tuple(occ_raw)
-        if len(occ) != layout.mode_count:
-            raise ModelFormatError(
-                f"occupation length {len(occ)} does not match {layout.mode_count} modes"
-            )
-        if min(occ) < 0:
-            raise ModelFormatError(f"negative occupation in {occ}")
-        if max(occ) > layout.cutoff:
-            raise ModelFormatError(f"occupation {occ} exceeds cutoff {layout.cutoff}")
-        if occ in amplitudes:
-            raise ModelFormatError(f"duplicate state entry for occupation {occ}")
-        amplitudes[occ] = complex(_finite_part(entry, "re"), _finite_part(entry, "im"))
-    state = StateVector(layout, amplitudes, prune=0.0)
+    if not set(map(type, doc)) <= {dict} or not set().union(*doc) <= {"occ", "re", "im"}:
+        raise ModelFormatError('state entries must be objects with keys "occ", "re", "im"')
+    rows = [entry.get("occ") for entry in doc]
+    occ, layout = _occupations(rows, mode_count, "state", cutoff, DEFAULT_CUTOFF_MARGIN)
+    amplitudes = np.empty(len(doc), dtype=np.complex128)
+    for key, part in (("re", amplitudes.real), ("im", amplitudes.imag)):
+        values = [entry.get(key, 0.0) for entry in doc]  # 0 when omitted
+        if not set(map(type, values)) <= {float}:
+            values = [_json_number(value, f'state "{key}"') for value in values]
+        part[:] = values
+        if not np.isfinite(part).all():
+            bad = part[~np.isfinite(part)][0]
+            raise ModelFormatError(f'state "{key}" must be finite, got {bad}')
+    ranks = layout.ranks_of(occ)
+    order = np.argsort(ranks)
+    state = StateVector._from_ranks(layout, ranks[order], amplitudes[order], prune=0.0)
     norm = state.norm()
-    if abs(norm * norm - 1.0) > norm_tol:
-        raise ModelFormatError(
-            f"state norm^2 = {norm * norm:.12f} deviates from 1 beyond {norm_tol}"
-        )
+    if abs(norm * norm - 1.0) > 1e-9:
+        raise ModelFormatError(f"state norm^2 = {norm * norm:.12f} deviates from 1 beyond 1e-09")
     if abs(norm - 1.0) > 1e-15:
         logger.info("renormalizing input state (norm deviation %.3e)", norm - 1.0)
         state = state.scaled(1.0 / norm)
     return state
 
 
-def _finite_part(entry: Mapping, key: str) -> float:
-    """The real or imaginary part of a state entry (0 when omitted): a finite number."""
-    value = _json_number(entry.get(key, 0.0), f'state "{key}"')
-    if not math.isfinite(value):
-        raise ModelFormatError(f'state "{key}" must be finite, got {value}')
-    return value
-
-
-def load_support_document(doc: Any, mode_count: int) -> list[tuple[int, ...]]:
-    """Parse a support document: a JSON list of occupation lists."""
+def load_support_document(doc: Any, mode_count: int) -> np.ndarray:
+    """Parse a support document, a JSON list of occupation lists, as an int64 array."""
     if not isinstance(doc, list) or not doc:
         raise ModelFormatError("support document must be a non-empty JSON list")
-    support = []
-    for entry in doc:
-        if not isinstance(entry, list) or not all(is_json_int(x) for x in entry):
-            raise ModelFormatError("support entries must be integer lists")
-        if len(entry) != mode_count:
-            raise ModelFormatError(
-                f"support occupation length {len(entry)} does not match "
-                f"{mode_count} modes"
-            )
-        support.append(tuple(entry))
-    return support
+    return _occupations(doc, mode_count, "support", None, _SUPPORT_CUTOFF_MARGIN)[0]
+
+
+def _occupations(
+    rows: list, mode_count: int, what: str, cutoff: int | None, margin: int
+) -> tuple[np.ndarray, ModeLayout]:
+    """Distinct, in-cutoff, non-negative JSON integer rows as an (n, M) int64 array.
+
+    Returns it with its layout (``cutoff``, else the largest occupation plus
+    ``margin``), built first so that an occupation past int64 fails there.
+    """
+    from itertools import chain
+
+    # A row that is not a list fails the integer test through the [None].
+    flat = list(chain.from_iterable(rows)) if set(map(type, rows)) <= {list} else [None]
+    if not set(map(type, flat)) <= {int}:  # refuses bool and 1.0 too
+        raise ModelFormatError(f"{what} occupations must be lists of integers")
+    width = next((len(row) for row in rows if len(row) != mode_count), None)
+    if width is not None:
+        raise ModelFormatError(
+            f"{what} occupation length {width} does not match {mode_count} modes"
+        )
+    if min(flat) < 0:
+        bad = next(tuple(row) for row in rows if min(row) < 0)
+        raise ModelFormatError(f"negative occupation in {bad}")
+    layout = ModeLayout(mode_count, max(flat) + margin if cutoff is None else cutoff)
+    if max(flat) > layout.cutoff:
+        bad = next(tuple(row) for row in rows if max(row) > layout.cutoff)
+        raise ModelFormatError(f"occupation {bad} exceeds cutoff {layout.cutoff}")
+    occ = np.array(flat, dtype=np.int64).reshape(len(rows), mode_count)
+    ranks = layout.ranks_of(occ)
+    order = np.argsort(ranks, kind="stable")
+    repeats = order[1:][ranks[order[1:]] == ranks[order[:-1]]]  # later entries of a twin
+    if repeats.size:
+        bad = tuple(rows[repeats.min()])
+        raise ModelFormatError(f"duplicate {what} entry for occupation {bad}")
+    return occ, layout

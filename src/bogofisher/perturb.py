@@ -32,7 +32,6 @@ from .fock import (
     _cmul,
     _sum_by,
     _unique_slots,
-    inner_product,
 )
 
 VALIDITY_THRESHOLD = 0.01
@@ -82,9 +81,6 @@ class FirstOrderPair:
 
     psi0: StateVector
     psi1: StateVector
-
-    def overlap(self) -> complex:
-        return inner_product(self.psi0, self.psi1)
 
 
 def build_generator(model: BogoliubovFirstOrder) -> GeneratorK:

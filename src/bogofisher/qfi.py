@@ -97,7 +97,8 @@ def overlap_penalty(pair: FirstOrderPair) -> float:
 
 def qfi_pure_report(pair: FirstOrderPair, theta: float = DEFAULT_THETA) -> QfiReport:
     norm_term = 4.0 * pair.psi1.norm_squared()
-    penalty = -4.0 * overlap_penalty(pair)
+    # 0.0 - x rather than -x: a zero penalty prints as 0.0, not -0.0.
+    penalty = 0.0 - 4.0 * overlap_penalty(pair)
     return _report(
         [("first_order_norm", norm_term), ("projection_penalty", penalty)], theta
     )
@@ -162,7 +163,7 @@ def qfi_reduced(
             "upstream projection is inconsistent"
         )
     return _report(
-        [("pure", pure), ("tracing_loss", -min(loss, pure))],
+        [("pure", pure), ("tracing_loss", 0.0 - min(loss, pure))],
         theta,
         tracing_loss=loss,
     )
@@ -283,8 +284,6 @@ def _column_weight(
 
 
 def _clamp_nonnegative(value: float) -> float:
-    if value < 0.0:
-        if value < -1e-9:
-            raise NumericalBreakdownError(f"QFI evaluated to {value}; numerical breakdown")
-        return 0.0
-    return value
+    if not -1e-9 <= value < math.inf:  # refuses NaN too
+        raise NumericalBreakdownError(f"QFI evaluated to {value}; numerical breakdown")
+    return max(value, 0.0)

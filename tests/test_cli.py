@@ -596,3 +596,145 @@ def test_scan_csv_matches_points_with_fresh_generators(threads, tmp_path, monkey
                 keep=bogofisher.ModeSubset.of([0, 1]), cutoff=7, threads=1,
             )
     assert out.read_bytes() == bogofisher.rows_to_csv(rows).encode()
+
+
+# (id, state document, support document, --cutoff, exit code, error class).
+# Documents are JSON text, so that 1e400 reaches the parser as a float
+# overflowing to inf.  None marks a fault that a document kind cannot have.
+_BAD_DOCUMENTS = [
+    ("not-a-list", '{"occ": [1, 1], "re": 1.0}', '{"occ": [1, 1]}', None, 2, "ModelFormatError"),
+    ("empty", "[]", "[]", None, 2, "ModelFormatError"),
+    ("extra-key", '[{"occ": [1, 1], "re": 1.0, "x": 0}]', '[{"occ": [1, 1]}]', None, 2,
+     "ModelFormatError"),
+    ("missing-occ", '[{"re": 1.0}]', None, None, 2, "ModelFormatError"),
+    ("non-list-occ", '[{"occ": 5, "re": 1.0}]', "[5, [1, 1]]", None, 2, "ModelFormatError"),
+    ("bool-occ", '[{"occ": [true, 1], "re": 1.0}]', "[[1, 1], [true, 1]]", None, 2,
+     "ModelFormatError"),
+    ("float-occ", '[{"occ": [1.0, 1], "re": 1.0}]', "[[1, 1], [1.0, 1]]", None, 2,
+     "ModelFormatError"),
+    ("ragged", '[{"occ": [1, 1], "re": 0.6}, {"occ": [1], "re": 0.8}]', "[[1, 1], [1]]",
+     None, 2, "ModelFormatError"),
+    ("negative", '[{"occ": [1, -1], "re": 1.0}]', "[[1, 1], [0, -1]]", None, 2,
+     "ModelFormatError"),
+    ("over-cutoff", '[{"occ": [1, 4], "re": 1.0}]', None, "3", 2, "ModelFormatError"),
+    ("duplicate", '[{"occ": [1, 1], "re": 0.6}, {"occ": [1, 1], "re": 0.8}]',
+     "[[1, 1], [2, 0], [1, 1]]", None, 2, "ModelFormatError"),
+    ("huge-derived-cutoff", '[{"occ": [1, 10000000000000000000000], "re": 1.0}]',
+     "[[1, 1], [1, 10000000000000000000000]]", None, 3, "BudgetError"),
+    ("huge-explicit-cutoff", '[{"occ": [1, 10000000000000000000000], "re": 1.0}]', None, "5",
+     2, "ModelFormatError"),
+    ("bool-re", '[{"occ": [1, 1], "re": true}]', None, None, 2, "ModelFormatError"),
+    ("string-re", '[{"occ": [1, 1], "re": "1.0"}]', None, None, 2, "ModelFormatError"),
+    ("overflowing-re", '[{"occ": [1, 1], "re": 1e400}]', None, None, 2, "ModelFormatError"),
+]
+
+
+_BAD_DOCUMENT_RUNS = [
+    pytest.param(command, text, cutoff, code, error, id=f"{command}-{name}")
+    for name, state, support, cutoff, code, error in _BAD_DOCUMENTS
+    for command, text in [("qfi", state), ("oracle-compare", state), ("optimize", support)]
+    if text is not None
+]
+
+
+@pytest.mark.parametrize("command, text, cutoff, code, error", _BAD_DOCUMENT_RUNS)
+def test_bad_document_exits_with_one_error(
+    command, text, cutoff, code, error, tms_doc, tmp_path, capsys
+):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text, encoding="utf-8")
+    if command == "optimize":
+        argv = ["optimize", tms_doc, "--support", str(doc), "--avg-n", "2"]
+    else:
+        argv = [command, tms_doc, "--state", str(doc)]
+    if cutoff is not None:
+        argv += ["--cutoff", cutoff]
+    assert cli_main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line(captured.err)["error"] == error
+
+
+def test_support_fault_exits_like_state_fault(tms_doc, tmp_path, capsys):
+    # The same fault in either document kind exits 2; an infeasible target exits 1.
+    support = write_json(tmp_path / "support.json", [[1, 1], [2, 0], [1, 1]])
+    assert cli_main(["optimize", tms_doc, "--support", support, "--avg-n", "2"]) == 2
+    error = _single_error_line(capsys.readouterr().err)
+    assert error == {
+        "error": "ModelFormatError",
+        "message": "duplicate support entry for occupation (1, 1)",
+    }
+    support = write_json(tmp_path / "support.json", [[1, 1], [2, 0]])
+    assert cli_main(["optimize", tms_doc, "--support", support, "--avg-n", "9"]) == 1
+    assert _single_error_line(capsys.readouterr().err)["error"] == "SupportError"
+
+
+def test_default_cutoff_is_largest_occupation_plus_six(tms_doc, tmp_path, capsys):
+    state = write_json(
+        tmp_path / "state.json",
+        [{"occ": [0, 3], "re": 0.6}, {"occ": [1, 2], "im": 0.8}],
+    )
+    assert cli_main(["qfi", tms_doc, "--state", state]) == 0
+    assert json.loads(capsys.readouterr().out)["cutoff"] == 9
+
+
+@pytest.mark.parametrize("keep", [None, "0", "0,0"])
+def test_zero_terms_print_without_sign(keep, tmp_path, capsys):
+    # |1,1> under the beam splitter: no projection penalty and no tracing loss.
+    model = write_json(
+        tmp_path / "bs.json", {"builtin": "beam_splitter", "k": 0, "kprime": 1, "modes": 2}
+    )
+    state = write_json(tmp_path / "s11.json", [{"occ": [1, 1], "re": 1.0}])
+    argv = ["qfi", model, "--state", state] + ([] if keep is None else ["--keep", keep])
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    assert "-0.0" not in out
+    breakdown = json.loads(out)["breakdown"]
+    assert 0.0 in breakdown.values()
+
+
+def _huge_model(value):
+    return {"modes": 2, "alpha1": [[0, 1, value, 0.0], [1, 0, -value, 0.0]]}
+
+
+@pytest.mark.parametrize("value", [1e154, 1e308])
+@pytest.mark.parametrize("command", ["qfi", "oracle-compare"])
+def test_overflowing_model_fresh_process_exits_three(command, value, tmp_path):
+    # numpy's overflow warning would reach stderr here; tier-1 turns it into
+    # an exception inside pytest, so only a fresh process shows the leak.
+    model = write_json(tmp_path / "model.json", _huge_model(value))
+    state = write_json(tmp_path / "s11.json", [{"occ": [1, 1], "re": 1.0}])
+    assert _fresh_process(["validate", model])[0] == 0
+    code, out, err = _fresh_process([command, model, "--state", state])
+    assert (code, out) == (3, "")
+    assert "Warning" not in err
+    assert _single_error_line(err)["error"] == "NumericalBreakdownError"
+
+
+@pytest.mark.parametrize("value", [1e154, 1e200, 1e308])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qfi", "M", "--state", "S22"],
+        ["qfi", "M", "--state", "S22", "--keep", "0"],
+        ["qfi", "M", "--state", "MIXED"],
+        ["oracle-compare", "M", "--state", "MIXED"],
+        ["scan", "M", "--n", "0..2", "--pair-with", "1"],
+        ["named", "M", "--n", "2"],
+        ["optimize", "M", "--support", "SUPPORT", "--avg-n", "3", "--restarts", "2"],
+    ],
+    ids=["qfi", "qfi-keep", "qfi-superposition", "oracle-compare", "scan", "named", "optimize"],
+)
+def test_overflowing_model_exits_three(argv, value, tmp_path, capsys):
+    files = {
+        "M": write_json(tmp_path / "model.json", _huge_model(value)),
+        "S22": write_json(tmp_path / "s22.json", [{"occ": [2, 2], "re": 1.0}]),
+        "MIXED": write_json(
+            tmp_path / "mixed.json", [{"occ": [1, 1], "re": 0.6}, {"occ": [2, 0], "im": 0.8}]
+        ),
+        "SUPPORT": write_json(tmp_path / "support.json", [[1, 1], [2, 0], [0, 2], [3, 3]]),
+    }
+    assert cli_main([files.get(arg, arg) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line(captured.err)["error"] in ("BudgetError", "NumericalBreakdownError")

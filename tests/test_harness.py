@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bogofisher import (
     BogoliubovFirstOrder,
@@ -417,3 +419,45 @@ def test_optimize_first_restart_not_below_its_start(modes, kept, support, use_ke
     assert result.restarts[0].score >= start_score - 1e-12 * max(1.0, start_score)
     assert result.constraint_residual <= 1e-12
     assert 0.0 <= result.stationarity_residual <= 1e-4 * max(1.0, result.qfi)
+
+
+@st.composite
+def _state_documents(draw):
+    """A layout and a shuffled, normalized state document on it."""
+    modes = draw(st.integers(1, 4))
+    cutoff = draw(st.integers(0, 4))
+    occs = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, cutoff)] * modes), min_size=1, max_size=12, unique=True
+        )
+    )
+    parts = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    amps = np.array([complex(draw(parts), draw(parts)) for _ in occs])
+    norm = float(np.linalg.norm(amps))
+    if norm < 1e-3:
+        amps, norm = np.ones(len(occs), dtype=complex), math.sqrt(len(occs))
+    amps = amps / norm
+    doc = [
+        {"occ": list(occ), "re": float(c.real), "im": float(c.imag)}
+        for occ, c in zip(occs, amps)
+    ]
+    order = draw(st.permutations(range(len(doc))))
+    return ModeLayout(modes, cutoff), [doc[i] for i in order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_state_documents())
+def test_load_state_document_matches_dict_constructor(case):
+    layout, doc = case
+    got = harness.load_state_document(doc, layout)
+    want = StateVector(
+        layout,
+        {tuple(entry["occ"]): complex(entry["re"], entry["im"]) for entry in doc},
+        prune=0.0,
+    )
+    norm = want.norm()
+    if abs(norm - 1.0) > 1e-15:
+        want = want.scaled(1.0 / norm)
+    assert got.layout == layout
+    assert got.ranks.tobytes() == want.ranks.tobytes()
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()

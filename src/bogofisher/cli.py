@@ -113,11 +113,12 @@ def _parse_modes(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad mode list {text!r}") from exc
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> Sequence[int]:
+    """``lo..hi`` as a ``range`` (never listed here), or a comma-separated list."""
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
+            return range(int(lo), int(hi) + 1)
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise UsageError(f"bad range {text!r}") from exc

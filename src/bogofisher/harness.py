@@ -102,32 +102,26 @@ def scan_fock(
         _check_mode(model.mode_count, k)
     else:
         _check_mode_pair(model.mode_count, k, kprime)
-    n_values = [int(n) for n in n_values]
-    if not n_values:
-        raise ValueError("empty scan range")
-    if any(n < 0 for n in n_values):
-        raise ValueError("occupations must be non-negative")
-    points: list[tuple[int, int | None]]
-    if kprime is None:
-        if m_values is not None:
-            raise ValueError("m_values requires kprime")
-        points = [(n, None) for n in n_values]
-        max_occ = max(n_values)
-    elif m_values is None:
-        points = [(n, n) for n in n_values]
-        max_occ = max(n_values)
-    else:
-        m_values = [int(m) for m in m_values]
-        if any(m < 0 for m in m_values):
-            raise ValueError("occupations must be non-negative")
-        points = [(n, m) for n in n_values for m in m_values]
-        max_occ = max(max(n_values), max(m_values))
+    n_values, max_occ = _scan_values(n_values)
+    if kprime is None and m_values is not None:
+        raise ValueError("m_values requires kprime")
+    if m_values is not None:
+        m_values, m_max = _scan_values(m_values)
+        max_occ = max(max_occ, m_max)
     if cutoff is None:
         cutoff = max_occ + DEFAULT_CUTOFF_MARGIN
     layout = ModeLayout(model.mode_count, cutoff)
     generator = generator_from_model(model)
     # Every point shares one -iH, built here before any pool thread runs.
+    # It also refuses a layout past the dense budget before any point is listed.
     _operator(generator, layout)
+    points: list[tuple[int, int | None]]
+    if kprime is None:
+        points = [(n, None) for n in n_values]
+    elif m_values is None:
+        points = [(n, n) for n in n_values]
+    else:
+        points = [(n, m) for n in n_values for m in m_values]
 
     def evaluate(point: tuple[int, int | None]) -> ScanRow:
         n, m = point
@@ -165,6 +159,22 @@ def scan_fock(
         return [evaluate(point) for point in points]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(evaluate, points))
+
+
+def _scan_values(values: Sequence[int]) -> tuple[Sequence[int], int]:
+    """Checked scan occupations as ints, and the largest.
+
+    A ``range`` is kept as it is and its ends read in O(1), so a long one
+    is never listed before the truncation it implies is checked.
+    """
+    if not isinstance(values, range):
+        values = [int(v) for v in values]
+    if not values:
+        raise ValueError("empty scan range")
+    ends = (values[0], values[-1]) if isinstance(values, range) else values
+    if min(ends) < 0:
+        raise ValueError("occupations must be non-negative")
+    return values, max(ends)
 
 
 def rows_to_csv(rows: Iterable[ScanRow]) -> str:

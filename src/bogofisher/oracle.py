@@ -8,9 +8,12 @@ A quadratic Hermitian Hamiltonian
 generates the exact propagator U(theta) = exp(-i theta H).  H is built
 as a sparse matrix on the truncated basis once per generator and
 truncation (see ``GeneratorSpec``), and its action on a state vector is
-computed by ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham,
-"Computing the action of the matrix exponential", SIAM J. Sci. Comput.
-2011).  Everything downstream is obtained nonperturbatively:
+computed by ``_taylor_sweep``, the truncated-Taylor interval algorithm
+of Al-Mohy & Higham ("Computing the action of the matrix exponential",
+SIAM J. Sci. Comput. 2011, algorithm 5.2) for one vector.  It meets
+their backward-error bound at double precision, and for t||A||_1 up to
+63.4 it returns the vectors of ``scipy.sparse.linalg.expm_multiply`` bit
+for bit.  Everything downstream is obtained nonperturbatively:
 fidelity-based QFI with Richardson extrapolation, Uhlmann fidelity for
 reduced states, finite-difference state and density-operator
 derivatives, and Bogoliubov coefficients from the classical 2M x 2M
@@ -34,7 +37,6 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .bogoliubov import BogoliubovFirstOrder
 from .errors import BudgetError, ModelFormatError
@@ -56,8 +58,9 @@ DEFAULT_DTHETA_FIDELITY = 1e-3
 SHELL_BUDGET = 1e-10
 # One dense complex matrix of this dimension takes 268 MB; expm holds several.
 EXACT_UNITARY_DIM_BUDGET = 4096
-# Largest |stop - start| * ||H||_1 of one sweep.  The cost of expm_multiply
-# grows linearly in it; the oracle's finite-difference steps need about 1.
+# Largest |stop - start| * ||H||_1 of one sweep.  The cost of a Taylor
+# sweep grows linearly in it; the oracle's finite-difference steps need
+# about 1.
 SWEEP_NORM_BUDGET = 1e3
 
 _HERMITIAN_TOL = 1e-12
@@ -70,11 +73,12 @@ class GeneratorSpec:
     ``h`` is the Hermitian number-conserving block, ``g`` the symmetric
     pair-creation block (its conjugate closes the Hermitian form).
 
-    The sparse operator -iH of each truncation, with its 1-norm, is built
-    on first use and kept on the instance, keyed by (mode_count, cutoff),
-    so every oracle call of one command on one truncation shares one
-    build.  ``h`` and ``g`` are read-only copies made here, so a kept
-    operator cannot go stale.
+    The sparse operator -iH of each truncation, with its 1-norm and its
+    trace-shifted form for the Taylor sweep (``_Operator``), is built on
+    first use and kept on the instance, keyed by (mode_count, cutoff), so
+    every oracle call of one command on one truncation shares one build.
+    ``h`` and ``g`` are read-only copies made here, so a kept operator
+    cannot go stale.
     """
 
     h: np.ndarray
@@ -219,14 +223,46 @@ def _occupations(layout: ModeLayout) -> np.ndarray:
     return np.ascontiguousarray(layout.occupations_of(np.arange(layout.basis_size)).T)
 
 
-def _operator(gen: GeneratorSpec, layout: ModeLayout) -> tuple[scipy.sparse.csr_matrix, float]:
-    """-iH on ``layout`` and its 1-norm, built once per generator and truncation."""
+@dataclass(frozen=True, eq=False)
+class _Operator:
+    """-iH on one truncation, prepared once for every sweep over it.
+
+    ``shifted`` is A - mu I with mu = tr(A) / n, the shift that Al-Mohy &
+    Higham apply before their Taylor sums, built as ``expm_multiply``
+    builds it so that each product adds in the same order.  ``norm`` and
+    ``shifted_norm`` are the exact 1-norms of A and of A - mu I.
+    """
+
+    matrix: scipy.sparse.csr_matrix
+    norm: float
+    mu: complex
+    shifted: scipy.sparse.csr_matrix
+    shifted_norm: float
+
+
+def _prepared(gen: GeneratorSpec, layout: ModeLayout) -> _Operator:
+    """-iH on ``layout`` with its shift, built once per generator and truncation."""
     key = (layout.mode_count, layout.cutoff)
     cached = gen._operators.get(key)
     if cached is None:
         A = -1j * hamiltonian(gen, layout)
-        cached = gen._operators[key] = (A, float(abs(A).sum(axis=0).max()))
+        n = A.shape[0]
+        mu = A.trace() / float(n)
+        shifted = A - mu * scipy.sparse.eye(n, n, dtype=A.dtype).asformat(A.format)
+        cached = gen._operators[key] = _Operator(
+            A, _one_norm(A), mu, shifted, _one_norm(shifted)
+        )
     return cached
+
+
+def _one_norm(A: scipy.sparse.csr_matrix) -> float:
+    return float(abs(A).sum(axis=0).max())
+
+
+def _operator(gen: GeneratorSpec, layout: ModeLayout) -> tuple[scipy.sparse.csr_matrix, float]:
+    """-iH on ``layout`` and its 1-norm (see ``_prepared``)."""
+    op = _prepared(gen, layout)
+    return op.matrix, op.norm
 
 
 @functools.cache
@@ -260,6 +296,107 @@ def _check_shell_weight(vec: np.ndarray, shell: np.ndarray, budget: float) -> No
         )
 
 
+# theta_m: the largest t||A||_1 for which a degree-m Taylor step meets the
+# double-precision backward-error bound.  m = 1..30 from table A.3 of
+# Higham & Al-Mohy, "Computing matrix functions" (Acta Numerica 2010);
+# m = 35..55 from table 3.1 of Al-Mohy & Higham (2011).
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+_TAYLOR_TOL = 2.0**-53
+
+
+def _taylor_degree(norm: float) -> tuple[int, int]:
+    """Taylor degree m* and step count s for a span with t||A||_1 = ``norm``.
+
+    Minimises m * ceil(norm / theta_m), the number of sparse products, over
+    the table: the 1-norm rule of Al-Mohy & Higham's code fragment (3.1).
+    Under their condition (3.13), norm <= 63.36 at m_max = 55, this is the
+    choice of ``expm_multiply``; above it ``expm_multiply`` estimates the
+    norms of the powers of A instead, which ``norm`` bounds, so this step
+    takes more products and is no less accurate.
+    """
+    if norm == 0:
+        return 0, 1
+    steps = {m: math.ceil(norm / theta) for m, theta in _THETA.items()}
+    m = min(steps, key=lambda m: m * steps[m])  # the lowest degree on ties
+    return m, steps[m]
+
+
+def _taylor_step(A, b: np.ndarray, t: float, mu: complex, m_star: int, s: int) -> np.ndarray:
+    """exp(t (A + mu I)) b by ``s`` truncated Taylor series of degree <= ``m_star``.
+
+    Algorithm 3.2 of Al-Mohy & Higham (2011) on the shifted operator A;
+    each series stops early once two successive terms are negligible.
+    """
+    f = b
+    eta = np.exp(t * mu / float(s))
+    for _ in range(s):
+        c1 = np.abs(b).max()
+        for j in range(m_star):
+            coeff = t / float(s * (j + 1))
+            b = coeff * (A @ b)
+            c2 = np.abs(b).max()
+            f = f + b
+            if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
+                break
+            c1 = c2
+        f = eta * f
+        b = f
+    return f
+
+
+def _taylor_sweep(op: _Operator, v: np.ndarray, start: float, stop: float, num: int) -> np.ndarray:
+    """exp(theta A) v at ``num`` equally spaced thetas from ``start`` to ``stop``.
+
+    Algorithm 5.2 of Al-Mohy & Higham (2011) for one vector, as
+    ``expm_multiply`` runs it on ``op.shifted``: one Taylor step to
+    ``start``, then either a step per grid point (at most ``s`` points)
+    or blocks of grid points that each share one set of Taylor terms
+    K_p = (h A)^p / p! of their first point, computed once per block.
+    Requires start <= stop; the rows of the result are the grid points.
+    """
+    samples, h = np.linspace(start, stop, num, retstep=True)
+    q = num - 1
+    t0 = samples[0]
+    span_norm = (samples[q] - t0) * op.shifted_norm
+    A, mu = op.shifted, op.mu
+    m_star, s = _taylor_degree(span_norm)
+    out = np.empty((num, v.size), dtype=np.complex128)
+    out[0] = v if t0 == 0 else _taylor_step(A, v, t0, mu, m_star, s)
+    if q <= s:
+        if span_norm != 0:
+            m_star, s = _taylor_degree((1.0 / q) * span_norm)
+        for k in range(q):
+            out[k + 1] = _taylor_step(A, out[k], h, mu, m_star, s)
+        return out
+    d = q // s
+    for first in range(0, q, d):
+        terms = [out[first]]
+        term_norms = [np.abs(out[first]).max()]
+        for k in range(1, min(d, q - first) + 1):
+            f = terms[0]
+            c1 = term_norms[0]
+            for p in range(1, m_star + 1):
+                if p == len(terms):
+                    terms.append(h * (A @ terms[p - 1]) / float(p))
+                    term_norms.append(np.abs(terms[p]).max())
+                coeff = float(k**p)
+                f = f + coeff * terms[p]
+                c2 = coeff * term_norms[p]
+                if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
+                    break
+                c1 = c2
+            out[first + k] = np.exp(k * h * mu) * f
+    return out
+
+
 def _propagation(gen: GeneratorSpec, state: StateVector, shell_budget: float):
     """The dense input and a sweep of exp(-i theta H)|state>.
 
@@ -268,29 +405,28 @@ def _propagation(gen: GeneratorSpec, state: StateVector, shell_budget: float):
     densifies and checks the state.  ``sweep(start, stop, num)`` returns
     the evolved vectors at the ``num`` equally spaced thetas from
     ``start`` to ``stop`` (endpoint included) as the rows of one array,
-    from one ``expm_multiply`` call: the interval algorithm of Al-Mohy &
+    from one ``_taylor_sweep``: the interval algorithm of Al-Mohy &
     Higham (2011, section 5) costs about as much as a single evolution.
     A sweep whose |stop - start| * ||H||_1 passes ``SWEEP_NORM_BUDGET``
     is refused before it starts.  The input and every evolved vector are
     held to the boundary-shell leakage budget.
     """
-    A, norm = _operator(gen, state.layout)
+    op = _prepared(gen, state.layout)
     shell = _shell_mask(state.layout)
     v0 = state.to_dense()
     _check_shell_weight(v0, shell, shell_budget)
 
     def sweep(start: float, stop: float, num: int) -> np.ndarray:
-        # The interval algorithm assumes start <= stop; on a descending grid
-        # scipy returns wrong vectors without an error, so run it ascending.
+        # The interval algorithm assumes start <= stop, so run it ascending.
         lo, hi = min(start, stop), max(start, stop)
         # Written as "not <=" so that a NaN span (a non-finite theta) fails.
-        if not (hi - lo) * norm <= SWEEP_NORM_BUDGET:
+        if not (hi - lo) * op.norm <= SWEEP_NORM_BUDGET:
             raise BudgetError(
                 f"sweep over [{lo:.3e}, {hi:.3e}] times the operator 1-norm "
-                f"{norm:.3e} exceeds the budget {SWEEP_NORM_BUDGET:.0e}; "
+                f"{op.norm:.3e} exceeds the budget {SWEEP_NORM_BUDGET:.0e}; "
                 "use a smaller step"
             )
-        out = expm_multiply(A, v0, start=lo, stop=hi, num=num, endpoint=True)
+        out = _taylor_sweep(op, v0, lo, hi, num)
         for vec in out:
             _check_shell_weight(vec, shell, shell_budget)
         return out if start <= stop else out[::-1]
@@ -555,8 +691,7 @@ def coherent_state(
 
     The analytic amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!) are
     renormalized on the truncated basis and held to the same
-    boundary-shell leakage budget as the sparse ``expm_multiply``
-    propagator.
+    boundary-shell leakage budget as the propagator's Taylor sweep.
     """
     _check_mode(layout.mode_count, mode)
     dim = layout.basis_size

@@ -147,6 +147,29 @@ def test_scan_budget_failure_exit_three(squeezer_doc, capsys):
     assert err["error"] == "BudgetError"
 
 
+@pytest.mark.parametrize(
+    "grid, code, error",
+    [
+        # Long ranges are refused by the truncation they imply, before any
+        # point is listed: 10^8 points, then more than a C ssize_t holds.
+        (["--n", "0..100000000", "--pair-with", "1"], 3, "BudgetError"),
+        (["--n", "0..10000000000000000000000"], 3, "BudgetError"),
+        (["--n", "10000000000000000000000"], 3, "BudgetError"),
+        (["--n", "0..1", "--pair-with", "1", "--m", "0..100000000"], 3, "BudgetError"),
+        (["--n", "3..2"], 1, "ValueError"),
+        (["--n", "0..1", "--pair-with", "1", "--m", "2..1"], 1, "ValueError"),
+    ],
+    ids=["long-n", "past-ssize_t", "one-huge-n", "long-m", "reversed-n", "reversed-m"],
+)
+def test_scan_range_checked_before_points_are_listed(grid, code, error, tmp_path, capsys):
+    bs = {"builtin": "beam_splitter", "k": 0, "kprime": 1, "modes": 2}
+    model = write_json(tmp_path / "bs.json", bs)
+    assert cli_main(["scan", model, *grid]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line(captured.err)["error"] == error
+
+
 def test_dense_budget_only_where_dense_arrays_are_made(tmp_path, capsys):
     six = {"builtin": "beam_splitter", "k": 0, "kprime": 1, "modes": 6}
     model = write_json(tmp_path / "bs6.json", six)
@@ -175,7 +198,8 @@ def test_qfi_at_occupations_past_int64_products(squeezer_doc, tmp_path, capsys):
     n = 5_000_000_000
     state = write_json(tmp_path / "big.json", [{"occ": [n], "re": 1.0}])
     assert cli_main(["qfi", squeezer_doc, "--state", state]) == 0
-    model = bogofisher.load_model(json.loads(open(squeezer_doc).read()))
+    with open(squeezer_doc, encoding="utf-8") as handle:
+        model = bogofisher.load_model(json.load(handle))
     closed = bogofisher.qfi_fock_closed(model, n, 0)
     assert json.loads(capsys.readouterr().out)["qfi"] == pytest.approx(closed.qfi, rel=1e-12)
 
@@ -531,10 +555,10 @@ def test_bad_step_or_theta_exits_with_one_error(
 ):
     # A refused sweep must stop before the propagator runs, not after it.
     def refuse(*args, **kwargs):
-        raise AssertionError("expm_multiply ran on a refused step")
+        raise AssertionError("the Taylor sweep ran on a refused step")
 
     if error == "BudgetError":
-        monkeypatch.setattr(oracle, "expm_multiply", refuse)
+        monkeypatch.setattr(oracle, "_taylor_sweep", refuse)
     state = write_json(tmp_path / "s11.json", [{"occ": [1, 1], "re": 1.0, "im": 0.0}])
     files = {"M": tms_doc, "S": state}
     assert cli_main([files.get(arg, arg) for arg in argv]) == code

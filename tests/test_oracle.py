@@ -416,19 +416,19 @@ def test_derivative_states_hermitian_check_runs_on_read(monkeypatch):
 def test_oracle_compare_sweeps_twice_and_builds_no_density_matrix(
     monkeypatch, tmp_path, capsys
 ):
-    calls = {"expm_multiply": 0, "reduced": 0}
-    real_expm_multiply = oracle.expm_multiply
+    calls = {"sweep": 0, "reduced": 0}
+    real_sweep = oracle._taylor_sweep
     real_reduced = oracle._reduced_dense
 
-    def counting_expm_multiply(*args, **kwargs):
-        calls["expm_multiply"] += 1
-        return real_expm_multiply(*args, **kwargs)
+    def counting_sweep(*args, **kwargs):
+        calls["sweep"] += 1
+        return real_sweep(*args, **kwargs)
 
     def counting_reduced(*args):
         calls["reduced"] += 1
         return real_reduced(*args)
 
-    monkeypatch.setattr(oracle, "expm_multiply", counting_expm_multiply)
+    monkeypatch.setattr(oracle, "_taylor_sweep", counting_sweep)
     monkeypatch.setattr(oracle, "_reduced_dense", counting_reduced)
     model = tmp_path / "model.json"
     model.write_text(
@@ -448,7 +448,7 @@ def test_oracle_compare_sweeps_twice_and_builds_no_density_matrix(
     assert cli_main(["oracle-compare", str(model), "--state", str(state)]) == 0
     assert json.loads(capsys.readouterr().out)["agree"] is True
     assert calls["reduced"] == 0
-    assert calls["expm_multiply"] <= 2
+    assert calls["sweep"] <= 2
 
 
 def test_shell_monitor_rejects_non_finite_vector():
@@ -481,12 +481,12 @@ def test_bad_steps_raise_value_error(call, step):
 
 def test_sweep_over_norm_budget_refused_before_expm_multiply(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("expm_multiply ran on a refused sweep")
+        raise AssertionError("the Taylor sweep ran on a refused sweep")
 
     gen = two_mode_squeezer_generator(0, 1, 2)
     state = StateVector.from_occupation(ModeLayout(2, 7), [1, 1])
     _, norm = oracle._operator(gen, state.layout)
-    monkeypatch.setattr(oracle, "expm_multiply", refuse)
+    monkeypatch.setattr(oracle, "_taylor_sweep", refuse)
     theta = 1.01 * oracle.SWEEP_NORM_BUDGET / norm
     for evolve in (
         lambda: evolve_state(gen, state, theta),

@@ -1,0 +1,117 @@
+"""The oracle's Taylor sweep against ``scipy.sparse.linalg.expm_multiply``.
+
+``oracle._taylor_sweep`` runs the interval algorithm of Al-Mohy & Higham
+(2011, algorithm 5.2) for one vector as ``expm_multiply`` runs it, on an
+operator prepared once.  Up to t||A||_1 = 63.4 it must return the same
+bits; above that its Taylor step is chosen from ||A||_1 alone, which is
+more conservative than scipy's estimates of ||A^p||, and its error must
+stay within u * t||A||_1 of the exact propagation (u = 2^-53).
+"""
+
+import numpy as np
+import pytest
+from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg._expm_multiply import (
+    LazyOperatorNormInfo,
+    _fragment_3_1,
+    _theta,
+)
+
+from bogofisher import GeneratorSpec, ModeLayout, StateVector, oracle
+
+from helpers import random_generator
+
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _operator_and_vector(seed: int, modes: int = 3, cutoff: int = 4):
+    rng = np.random.default_rng(seed)
+    op = oracle._prepared(random_generator(rng, modes, 0.7), ModeLayout(modes, cutoff))
+    n = op.matrix.shape[0]
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return op, v / np.linalg.norm(v)
+
+
+def _grid(op, span_norm: float, start: str) -> tuple[float, float]:
+    span = span_norm / op.shifted_norm
+    lo = 0.0 if start == "zero" else -0.5 * span
+    return lo, lo + span
+
+
+def _branch(span_norm: float, num: int) -> int:
+    """scipy's branch: 0 for q <= s, 1 for q % s == 0, 2 otherwise (q = num - 1)."""
+    _, s = oracle._taylor_degree(span_norm)
+    q = num - 1
+    return 0 if q <= s else 1 if q % s == 0 else 2
+
+
+_EXACT_NORMS = [1e-3, 0.1, 1.0, 10.0, 20.0, 40.0, 63.0]
+_NUMS = [2, 3, 5, 7]
+
+
+def test_exact_cases_cover_every_branch_at_few_points():
+    branches = {_branch(norm, num) for norm in _EXACT_NORMS for num in (2, 3, 5)}
+    assert branches == {0, 1, 2}
+
+
+@pytest.mark.parametrize("start", ["zero", "negative"])
+@pytest.mark.parametrize("num", _NUMS)
+@pytest.mark.parametrize("span_norm", _EXACT_NORMS)
+def test_sweep_is_bit_identical_to_expm_multiply(span_norm, num, start):
+    op, v = _operator_and_vector(int(span_norm * 1000) + num)
+    lo, hi = _grid(op, span_norm, start)
+    expected = expm_multiply(op.matrix, v, start=lo, stop=hi, num=num, endpoint=True)
+    assert oracle._taylor_sweep(op, v, lo, hi, num).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("num", [2, 3, 5])
+@pytest.mark.parametrize("span_norm", [70.0, 100.0, 400.0, 1000.0])
+def test_sweep_past_exact_range_is_accurate(span_norm, num):
+    op, v = _operator_and_vector(int(span_norm) + num)
+    lo, hi = _grid(op, span_norm, "negative")
+    # exp(-i theta H) v in the eigenbasis of the Hermitian H = iA.
+    energies, basis = np.linalg.eigh(1j * op.matrix.toarray())
+    coefficients = basis.conj().T @ v
+    thetas = np.linspace(lo, hi, num)
+    exact = np.array([basis @ (np.exp(-1j * t * energies) * coefficients) for t in thetas])
+    ours = oracle._taylor_sweep(op, v, lo, hi, num)
+    theirs = expm_multiply(op.matrix, v, start=lo, stop=hi, num=num, endpoint=True)
+    # Both meet the backward-error tolerance u, so they agree to a few
+    # u * t||A||_1; the kernel's more conservative step keeps it within one.
+    assert np.max(np.abs(ours - exact)) <= _UNIT_ROUNDOFF * span_norm
+    assert np.max(np.abs(ours - theirs)) <= 4 * _UNIT_ROUNDOFF * span_norm
+
+
+def test_descending_sweep_returns_the_ascending_rows_reversed():
+    rng = np.random.default_rng(8)
+    gen = random_generator(rng, 2, 0.7)
+    state = StateVector.from_occupation(ModeLayout(2, 7), [1, 1])
+    v0, sweep = oracle._propagation(gen, state, 1.0)
+    A = oracle._operator(gen, state.layout)[0]
+    expected = expm_multiply(A, v0, start=-1e-2, stop=3e-2, num=5, endpoint=True)
+    assert sweep(3e-2, -1e-2, 5).tobytes() == expected[::-1].tobytes()
+
+
+def test_zero_operator_sweep_keeps_the_vector():
+    zero = np.zeros((2, 2))
+    op = oracle._prepared(GeneratorSpec(zero, zero), ModeLayout(2, 3))
+    assert op.shifted_norm == 0.0
+    assert oracle._taylor_degree(0.0) == (0, 1)
+    _, v = _operator_and_vector(3, modes=2, cutoff=3)
+    for num in (2, 3, 5):
+        out = oracle._taylor_sweep(op, v, 0.0, 1.0, num)
+        expected = expm_multiply(op.matrix, v, start=0.0, stop=1.0, num=num, endpoint=True)
+        assert out.tobytes() == expected.tobytes()
+        assert np.array_equal(out, np.tile(v, (num, 1)))
+
+
+def test_theta_table_is_scipys():
+    assert oracle._THETA == _theta
+    assert list(oracle._THETA) == list(_theta)
+
+
+def test_taylor_degree_is_scipys_under_condition_3_13():
+    # Condition (3.13) at m_max = 55 and ell = 2 for one vector: 352 * 9.9 / 55.
+    for norm in np.geomspace(1e-12, 63.36, 400):
+        expected = _fragment_3_1(LazyOperatorNormInfo(None, A_1_norm=norm), 1, _UNIT_ROUNDOFF)
+        assert oracle._taylor_degree(norm) == expected

@@ -33,9 +33,7 @@ from .fock import (
     ModeLayout,
     ModeSubset,
     StateVector,
-    annihilate,
     average_particle_number,
-    create,
     inner_product,
     partial_trace,
 )
@@ -95,14 +93,12 @@ __all__ = [
     "UnitarityError",
     "UsageError",
     "ValidationReport",
-    "annihilate",
     "apply_generator",
     "average_particle_number",
     "beam_splitter",
     "beam_splitter_generator",
     "build_generator",
     "coherent_state",
-    "create",
     "derivative_states",
     "eval_named_states",
     "evolve_state",

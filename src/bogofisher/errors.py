@@ -2,8 +2,8 @@
 
 The CLI maps these onto exit codes: usage and support problems exit 1,
 model format and unitarity failures exit 2, numerical-budget failures
-(cutoff headroom, truncation leakage, dense dimension, numerical
-breakdown) exit 3.
+(cutoff headroom, oracle boundary-shell weight, dense dimension,
+numerical breakdown) exit 3.
 """
 
 
@@ -28,7 +28,12 @@ class SupportError(BogofisherError):
 
 
 class BudgetError(BogofisherError):
-    """Numerical budget exceeded: cutoff headroom, leakage, or dense dimension."""
+    """Numerical budget exceeded: cutoff headroom, shell weight, or dense dimension.
+
+    Each truncated route has one guard: the first-order route refuses a
+    cutoff below the largest occupation plus the headroom, and the oracle
+    refuses a state whose boundary-shell weight passes its budget.
+    """
 
 
 class NumericalBreakdownError(BudgetError):

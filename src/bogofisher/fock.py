@@ -134,20 +134,18 @@ class StateVector:
     Held as two arrays: the sorted lexicographic ranks of the occupied
     basis states (``layout.ranks_of``, which is also the dense index) and
     their complex128 amplitudes.  Treated as immutable after construction.
-    ``leakage`` accumulates the squared magnitudes of contributions
-    dropped past the cutoff by operator applications; it is a
-    truncation-quality monitor, not part of the state.  An occupation
-    outside the layout, or a NaN or infinite amplitude, raises ValueError;
-    amplitudes of modulus at most ``prune`` are dropped.
+    An occupation outside the layout, or a NaN or infinite amplitude,
+    raises ValueError; amplitudes of modulus at most ``prune`` are
+    dropped.  Operators that would move a term past the cutoff refuse
+    rather than drop it (see ``perturb.apply_generator``).
     """
 
-    __slots__ = ("layout", "_ranks", "_amps", "leakage")
+    __slots__ = ("layout", "_ranks", "_amps")
 
     def __init__(
         self,
         layout: ModeLayout,
         amplitudes: Mapping[Occupation, complex],
-        leakage: float = 0.0,
         prune: float = PRUNE_EPS,
     ) -> None:
         keys = list(amplitudes)
@@ -169,7 +167,7 @@ class StateVector:
         if np.any(ranks[1:] == ranks[:-1]):
             raise ValueError("duplicate occupation in amplitudes")
         values = np.array(list(amplitudes.values()), dtype=np.complex128)
-        self._assign(layout, ranks, values[order], leakage, prune)
+        self._assign(layout, ranks, values[order], prune)
 
     @classmethod
     def _from_ranks(
@@ -177,21 +175,15 @@ class StateVector:
         layout: ModeLayout,
         ranks: np.ndarray,
         amplitudes: np.ndarray,
-        leakage: float = 0.0,
         prune: float = PRUNE_EPS,
     ) -> "StateVector":
         """State from sorted, distinct, in-layout ranks and their amplitudes."""
         state = cls.__new__(cls)
-        state._assign(layout, ranks, amplitudes, leakage, prune)
+        state._assign(layout, ranks, amplitudes, prune)
         return state
 
     def _assign(
-        self,
-        layout: ModeLayout,
-        ranks: np.ndarray,
-        amplitudes: np.ndarray,
-        leakage: float,
-        prune: float,
+        self, layout: ModeLayout, ranks: np.ndarray, amplitudes: np.ndarray, prune: float
     ) -> None:
         size = np.hypot(amplitudes.real, amplitudes.imag)
         # "not <" so that NaN, which fails every comparison, is refused too.
@@ -205,7 +197,6 @@ class StateVector:
         self._amps = amplitudes[kept]
         self._ranks.flags.writeable = False
         self._amps.flags.writeable = False
-        self.leakage = float(leakage)
 
     @classmethod
     def vacuum(cls, layout: ModeLayout) -> "StateVector":
@@ -216,14 +207,12 @@ class StateVector:
         return cls(layout, {tuple(int(n) for n in occ): 1.0})
 
     @classmethod
-    def from_dense(
-        cls, layout: ModeLayout, vec: np.ndarray, leakage: float = 0.0
-    ) -> "StateVector":
+    def from_dense(cls, layout: ModeLayout, vec: np.ndarray) -> "StateVector":
         vec = np.asarray(vec, dtype=np.complex128)
         if vec.shape != (layout.basis_size,):
             raise ValueError("dense vector has wrong dimension for layout")
         ranks = np.flatnonzero(vec)
-        return cls._from_ranks(layout, ranks, vec[ranks], leakage=leakage)
+        return cls._from_ranks(layout, ranks, vec[ranks])
 
     @property
     def ranks(self) -> np.ndarray:
@@ -275,7 +264,7 @@ class StateVector:
 
     def scaled(self, factor: complex) -> "StateVector":
         return StateVector._from_ranks(
-            self.layout, self._ranks, _cmul(self._amps, complex(factor)), self.leakage
+            self.layout, self._ranks, _cmul(self._amps, complex(factor))
         )
 
     def add(self, other: "StateVector") -> "StateVector":
@@ -283,9 +272,7 @@ class StateVector:
             raise ValueError("layout mismatch")
         ranks, slots = _unique_slots(np.concatenate([self._ranks, other._ranks]))
         amps = _sum_by(slots, np.concatenate([self._amps, other._amps]), ranks.size)
-        return StateVector._from_ranks(
-            self.layout, ranks, amps, leakage=self.leakage + other.leakage
-        )
+        return StateVector._from_ranks(self.layout, ranks, amps)
 
     def max_occupation(self) -> int:
         return int(self.occupations().max(initial=0))
@@ -381,38 +368,6 @@ class DensityOperator:
         v = state.to_dense()
         # Not a BLAS gemv: from dimension 81 up it wakes BLAS threads that spin.
         return complex(np.vdot(v, np.einsum("ij,j->i", self.matrix, v)))
-
-
-def create(state: StateVector, mode: int) -> StateVector:
-    """Apply the creation operator for one mode; amplitude factor sqrt(n+1).
-
-    Contributions that would exceed the cutoff are dropped and their
-    squared norm added to the result's leakage counter.
-    """
-    _check_mode(state.layout.mode_count, mode)
-    n = state.occupations()[:, mode]
-    amps = state.amplitudes * np.sqrt(n + 1)
-    fits = n < state.layout.cutoff
-    lost = float(_abs2(state.amplitudes[~fits]).sum())
-    # Raising one digit adds the same rank step to every term: order is kept.
-    step = _place_values(state.layout.cutoff, state.layout.mode_count)[mode]
-    return StateVector._from_ranks(
-        state.layout, state.ranks[fits] + step, amps[fits], state.leakage + lost
-    )
-
-
-def annihilate(state: StateVector, mode: int) -> StateVector:
-    """Apply the annihilation operator for one mode; amplitude factor sqrt(n)."""
-    _check_mode(state.layout.mode_count, mode)
-    n = state.occupations()[:, mode]
-    fits = n > 0
-    step = _place_values(state.layout.cutoff, state.layout.mode_count)[mode]
-    return StateVector._from_ranks(
-        state.layout,
-        state.ranks[fits] - step,
-        state.amplitudes[fits] * np.sqrt(n[fits]),
-        state.leakage,
-    )
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

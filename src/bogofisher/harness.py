@@ -28,7 +28,7 @@ from .fock import (
     _lookup,
     average_particle_number,
 )
-from .perturb import transform_first_order, validity_check
+from .perturb import CUTOFF_HEADROOM, transform_first_order, validity_check
 from .qfi import (
     DEFAULT_THETA,
     _clamp_nonnegative,
@@ -38,7 +38,6 @@ from .qfi import (
     qfi_fock_closed,
     qfi_pure,
     qfi_two_mode_closed,
-    tracing_loss,
 )
 
 logger = logging.getLogger(__name__)
@@ -46,7 +45,6 @@ logger = logging.getLogger(__name__)
 CSV_HEADER = "n,m,qfi_closed,qfi_perturb,qfi_oracle,tracing_loss,validity_ratio,cutoff,oracle_err"
 
 DEFAULT_CUTOFF_MARGIN = 6
-_SUPPORT_CUTOFF_MARGIN = 2
 DEFAULT_SEED = 7
 DEFAULT_RESTARTS = 8
 DEFAULT_MAX_ITER = 2000
@@ -96,7 +94,7 @@ def scan_fock(
     when ``m_values`` is supplied.  The oracle route requires a model
     with trivial phases.
     """
-    from .oracle import _operator, generator_from_model, qfi_fidelity_pure
+    from .oracle import _prepared, generator_from_model, qfi_fidelity_pure
 
     if kprime is None:
         _check_mode(model.mode_count, k)
@@ -113,15 +111,15 @@ def scan_fock(
     layout = ModeLayout(model.mode_count, cutoff)
     generator = generator_from_model(model)
     # Every point shares one -iH, built here before any pool thread runs.
-    # It also refuses a layout past the dense budget before any point is listed.
-    _operator(generator, layout)
-    points: list[tuple[int, int | None]]
+    # It also refuses a layout past the dense budget before any point is made.
+    _prepared(generator, layout)
+    # Made one at a time, so a serial scan stops at its first failing point.
     if kprime is None:
-        points = [(n, None) for n in n_values]
+        points = ((n, None) for n in n_values)
     elif m_values is None:
-        points = [(n, n) for n in n_values]
+        points = ((n, n) for n in n_values)
     else:
-        points = [(n, m) for n in n_values for m in m_values]
+        points = ((n, m) for n in n_values for m in m_values)
 
     def evaluate(point: tuple[int, int | None]) -> ScanRow:
         n, m = point
@@ -135,10 +133,7 @@ def scan_fock(
         else:
             closed = qfi_two_mode_closed(model, n, k, m, kprime, theta=theta).qfi
         # One transform serves both the pure QFI and the tracing loss.
-        if keep is None:
-            pair, loss = transform_first_order(model, state), None
-        else:
-            pair, loss = _pair_and_loss(model, state, keep)
+        pair, loss = _pair_and_loss(model, state, keep)
         perturb_value = qfi_pure(pair)
         estimate = qfi_fidelity_pure(generator, state, dtheta=dtheta)
         ratio, _ = validity_check(theta, perturb_value)
@@ -300,8 +295,7 @@ def eval_named_states(
     }
     reports = {}
     for name, state in states.items():
-        pair = transform_first_order(model, state)
-        loss = tracing_loss(model, state, keep) if keep is not None else None
+        pair, loss = _pair_and_loss(model, state, keep)
         reports[name] = NamedStateReport(
             qfi=qfi_pure(pair),
             penalty=overlap_penalty(pair),
@@ -370,7 +364,7 @@ def optimize_state(
         raise SupportError("support occupation length must match the mode count")
     if (occ < 0).any():
         raise SupportError("occupations must be non-negative")
-    layout = ModeLayout(model.mode_count, int(occ.max()) + _SUPPORT_CUTOFF_MARGIN)
+    layout = ModeLayout(model.mode_count, int(occ.max()) + CUTOFF_HEADROOM)
     ranks = layout.ranks_of(occ)
     order = np.argsort(ranks)
     if (ranks[order][1:] == ranks[order][:-1]).any():
@@ -385,10 +379,10 @@ def optimize_state(
 
     def score(c: np.ndarray) -> float:
         state = StateVector._from_ranks(layout, ranks[order], c[order], prune=0.0)
-        pair = transform_first_order(model, state)
+        pair, loss = _pair_and_loss(model, state, keep)
         value = qfi_pure(pair)
-        if keep is not None:
-            value -= tracing_loss(model, state, keep)
+        if loss is not None:
+            value -= loss
         return value
 
     compiled = _support_score(model, layout, occ, keep)
@@ -647,7 +641,7 @@ def load_support_document(doc: Any, mode_count: int) -> np.ndarray:
     """Parse a support document, a JSON list of occupation lists, as an int64 array."""
     if not isinstance(doc, list) or not doc:
         raise ModelFormatError("support document must be a non-empty JSON list")
-    return _occupations(doc, mode_count, "support", None, _SUPPORT_CUTOFF_MARGIN)[0]
+    return _occupations(doc, mode_count, "support", None, CUTOFF_HEADROOM)[0]
 
 
 def _occupations(

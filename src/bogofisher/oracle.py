@@ -259,12 +259,6 @@ def _one_norm(A: scipy.sparse.csr_matrix) -> float:
     return float(abs(A).sum(axis=0).max())
 
 
-def _operator(gen: GeneratorSpec, layout: ModeLayout) -> tuple[scipy.sparse.csr_matrix, float]:
-    """-iH on ``layout`` and its 1-norm (see ``_prepared``)."""
-    op = _prepared(gen, layout)
-    return op.matrix, op.norm
-
-
 @functools.cache
 def _shell_mask(layout: ModeLayout) -> np.ndarray:
     """Basis states with some mode within two levels of the cutoff (read-only)."""
@@ -286,13 +280,14 @@ def _check_step(name: str, step: float) -> None:
         )
 
 
-def _check_shell_weight(vec: np.ndarray, shell: np.ndarray, budget: float) -> None:
+def _check_shell_weight(vec: np.ndarray, shell: np.ndarray) -> None:
+    """The oracle's one truncation guard: weight on ``shell`` within ``SHELL_BUDGET``."""
     weight = float(np.sum(np.abs(vec[shell]) ** 2))
     # Written as "not <=" so that a NaN weight (a non-finite vector) fails.
-    if not weight <= budget:
+    if not weight <= SHELL_BUDGET:
         raise BudgetError(
             f"boundary-shell weight {weight:.3e} exceeds the leakage "
-            f"budget {budget:.1e}; raise the cutoff"
+            f"budget {SHELL_BUDGET:.1e}; raise the cutoff"
         )
 
 
@@ -397,7 +392,7 @@ def _taylor_sweep(op: _Operator, v: np.ndarray, start: float, stop: float, num: 
     return out
 
 
-def _propagation(gen: GeneratorSpec, state: StateVector, shell_budget: float):
+def _propagation(gen: GeneratorSpec, state: StateVector):
     """The dense input and a sweep of exp(-i theta H)|state>.
 
     -iH and the shell mask come from their caches (the generator's
@@ -409,12 +404,12 @@ def _propagation(gen: GeneratorSpec, state: StateVector, shell_budget: float):
     Higham (2011, section 5) costs about as much as a single evolution.
     A sweep whose |stop - start| * ||H||_1 passes ``SWEEP_NORM_BUDGET``
     is refused before it starts.  The input and every evolved vector are
-    held to the boundary-shell leakage budget.
+    held to the boundary-shell budget ``SHELL_BUDGET``.
     """
     op = _prepared(gen, state.layout)
     shell = _shell_mask(state.layout)
     v0 = state.to_dense()
-    _check_shell_weight(v0, shell, shell_budget)
+    _check_shell_weight(v0, shell)
 
     def sweep(start: float, stop: float, num: int) -> np.ndarray:
         # The interval algorithm assumes start <= stop, so run it ascending.
@@ -428,7 +423,7 @@ def _propagation(gen: GeneratorSpec, state: StateVector, shell_budget: float):
             )
         out = _taylor_sweep(op, v0, lo, hi, num)
         for vec in out:
-            _check_shell_weight(vec, shell, shell_budget)
+            _check_shell_weight(vec, shell)
         return out if start <= stop else out[::-1]
 
     return v0, sweep
@@ -441,7 +436,7 @@ def exact_unitary(gen: GeneratorSpec, theta: float, layout: ModeLayout) -> Exact
             f"dense unitary dimension {layout.basis_size} over budget "
             f"{EXACT_UNITARY_DIM_BUDGET}"
         )
-    matrix = scipy.linalg.expm(theta * _operator(gen, layout)[0].toarray())
+    matrix = scipy.linalg.expm(theta * _prepared(gen, layout).matrix.toarray())
     col_norms = np.linalg.norm(matrix, axis=0)
     unitarity_residual = float(np.max(np.abs(col_norms - 1.0)))
     shell = _shell_mask(layout)
@@ -453,14 +448,9 @@ def exact_unitary(gen: GeneratorSpec, theta: float, layout: ModeLayout) -> Exact
     return ExactUnitary(matrix, theta, layout, unitarity_residual, shell_coupling)
 
 
-def evolve_state(
-    gen: GeneratorSpec,
-    state: StateVector,
-    theta: float,
-    shell_budget: float = SHELL_BUDGET,
-) -> StateVector:
-    """Apply the exact propagator to a sparse state, monitoring leakage."""
-    _, sweep = _propagation(gen, state, shell_budget)
+def evolve_state(gen: GeneratorSpec, state: StateVector, theta: float) -> StateVector:
+    """Apply the exact propagator to a sparse state, monitoring the boundary shell."""
+    _, sweep = _propagation(gen, state)
     return StateVector.from_dense(state.layout, sweep(0.0, theta, 2)[1])
 
 
@@ -491,7 +481,6 @@ def qfi_fidelity_pure(
     gen: GeneratorSpec,
     state: StateVector,
     dtheta: float = DEFAULT_DTHETA_FIDELITY,
-    shell_budget: float = SHELL_BUDGET,
 ) -> FidelityEstimate:
     """Fidelity-based QFI at theta = 0 for a pure state with all modes kept.
 
@@ -502,7 +491,7 @@ def qfi_fidelity_pure(
     _check_step("dtheta", dtheta)
     if not state.is_normalized(1e-9):
         raise ValueError("input state must be normalized")
-    v0, sweep = _propagation(gen, state, shell_budget)
+    v0, sweep = _propagation(gen, state)
     _, psi_fine, psi_coarse = sweep(0.0, dtheta, 3)
 
     def estimate(psi_h: np.ndarray, h: float) -> float:
@@ -551,7 +540,6 @@ def qfi_fidelity_mixed(
     state: StateVector,
     keep: ModeSubset,
     dtheta: float = DEFAULT_DTHETA_FIDELITY,
-    shell_budget: float = SHELL_BUDGET,
 ) -> FidelityEstimate:
     """Fidelity-based QFI of the reduced state on ``keep`` at theta = 0.
 
@@ -563,7 +551,7 @@ def qfi_fidelity_mixed(
     if not state.is_normalized(1e-9):
         raise ValueError("input state must be normalized")
     keep.validate_for(state.layout)
-    v0, sweep = _propagation(gen, state, shell_budget)
+    v0, sweep = _propagation(gen, state)
     rho0 = _reduced_dense(v0, state.layout, keep)
     minus_h, minus_half, plus_half, plus_h = sweep(-dtheta, dtheta, 5)[_OFF_CENTER]
 
@@ -616,7 +604,6 @@ def derivative_states(
     dtheta2: float = DEFAULT_DTHETA_SECOND,
     keep: ModeSubset | None = None,
     richardson: bool = True,
-    shell_budget: float = SHELL_BUDGET,
 ) -> DerivativeStates:
     """Central-difference psi1 plus the reduced-state corrections rho1, rho2.
 
@@ -633,7 +620,7 @@ def derivative_states(
     keep = keep if keep is not None else ModeSubset.of(range(layout.mode_count))
     keep.validate_for(layout)
     sub_layout = ModeLayout(len(keep.indices), layout.cutoff)
-    v0, sweep = _propagation(gen, state, shell_budget)
+    v0, sweep = _propagation(gen, state)
     psi = sweep(-dtheta, dtheta, 5)[_OFF_CENTER]
 
     def reduced(vectors) -> list[np.ndarray]:
@@ -681,17 +668,12 @@ def _hermitize(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.conj().T)
 
 
-def coherent_state(
-    layout: ModeLayout,
-    mode: int,
-    alpha: complex,
-    shell_budget: float = SHELL_BUDGET,
-) -> StateVector:
+def coherent_state(layout: ModeLayout, mode: int, alpha: complex) -> StateVector:
     """Truncated coherent state exp(alpha a^dag - conj(alpha) a)|0> of one mode.
 
     The analytic amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!) are
     renormalized on the truncated basis and held to the same
-    boundary-shell leakage budget as the propagator's Taylor sweep.
+    boundary-shell budget as the propagator's Taylor sweep.
     """
     _check_mode(layout.mode_count, mode)
     dim = layout.basis_size
@@ -706,7 +688,7 @@ def coherent_state(
     vec = np.zeros(dim, dtype=np.complex128)
     vec[levels * _place_values(layout.cutoff, layout.mode_count)[mode]] = amplitudes
     vec /= np.linalg.norm(vec)
-    _check_shell_weight(vec, _shell_mask(layout), shell_budget)
+    _check_shell_weight(vec, _shell_mask(layout))
     return StateVector.from_dense(layout, vec)
 
 

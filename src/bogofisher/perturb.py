@@ -28,7 +28,6 @@ from .errors import BudgetError, UnitarityError
 from .fock import (
     ModeLayout,
     StateVector,
-    _abs2,
     _cmul,
     _sum_by,
     _unique_slots,
@@ -143,9 +142,11 @@ def _ladder_rows(modes: int, cutoff: int) -> tuple[np.ndarray, np.ndarray, tuple
 
 
 def apply_generator(gen: GeneratorK, state: StateVector) -> StateVector:
-    """Sparse application of K to a state; over-cutoff terms leak.
+    """Sparse application of K to a state on its own layout.
 
-    Every (term, nonzero row) contribution is formed at once.  The
+    A nonzero contribution that would pass the cutoff raises BudgetError
+    (``transform_first_order`` keeps ``CUTOFF_HEADROOM`` so that none
+    does).  Every (term, nonzero row) contribution is formed at once.  The
     contributions to one output occupation are added in the order input
     terms (lexicographic), then rows, with the rounding of scalar complex
     arithmetic.
@@ -171,12 +172,15 @@ def apply_generator(gen: GeneratorK, state: StateVector) -> StateVector:
     factor = np.sqrt(lifted[..., 0].astype(float) * lifted[..., 1])
     value = _cmul(state.amplitudes[:, None], coeff) * scale * factor
     live = factor > 0.0
-    over = lifted.max(axis=2) > layout.cutoff
-    lost = float(_abs2(value[live & over]).sum()) if over.any() else 0.0
-    kept = live & ~over
-    ranks, slots = _unique_slots((state.ranks[:, None] + rows[:, 4])[kept])
-    amps = _sum_by(slots, value[kept], ranks.size)
-    return StateVector._from_ranks(layout, ranks, amps, state.leakage + lost)
+    top = lifted.max(axis=2)
+    if (live & (top > layout.cutoff)).any():
+        raise BudgetError(
+            f"cutoff {layout.cutoff} too small: the generator raises occupations "
+            f"up to {int(top[live].max())}"
+        )
+    ranks, slots = _unique_slots((state.ranks[:, None] + rows[:, 4])[live])
+    amps = _sum_by(slots, value[live], ranks.size)
+    return StateVector._from_ranks(layout, ranks, amps)
 
 
 def _rephased(
@@ -199,7 +203,7 @@ def _rephased(
     out, start = [], 0
     for s in states:
         stop = start + len(s)
-        out.append(StateVector._from_ranks(layout, s.ranks, amps[start:stop], s.leakage))
+        out.append(StateVector._from_ranks(layout, s.ranks, amps[start:stop]))
         start = stop
     return out
 
@@ -209,8 +213,10 @@ def transform_first_order(
 ) -> FirstOrderPair:
     """Zeroth- and first-order output states for a normalized input.
 
-    Requires cutoff headroom of two above the largest input occupation,
-    so the pair-creation terms of psi1 are represented without leakage.
+    Requires the cutoff to exceed the largest input occupation by
+    ``CUTOFF_HEADROOM`` (pair creation raises an occupation by two), so
+    every term of psi1 is inside the truncation; a smaller cutoff raises
+    BudgetError.
     """
     if not state.is_normalized(1e-9):
         raise ValueError("input state must be normalized")
@@ -222,10 +228,6 @@ def transform_first_order(
         )
     gen = build_generator(model)
     k_psi = apply_generator(gen, state)
-    if k_psi.leakage - state.leakage > 1e-10:
-        raise BudgetError(
-            f"first-order truncation leakage {k_psi.leakage:.3e} exceeds budget"
-        )
     psi0, psi1 = _rephased(model, [state, k_psi])
     return FirstOrderPair(psi0, psi1)
 

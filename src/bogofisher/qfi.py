@@ -116,8 +116,11 @@ def _complement_reference(complement_ranks: np.ndarray) -> int:
 
 
 def _pair_and_loss(
-    model: BogoliubovFirstOrder, state: StateVector, keep: ModeSubset
-) -> tuple[FirstOrderPair, float]:
+    model: BogoliubovFirstOrder, state: StateVector, keep: ModeSubset | None
+) -> tuple[FirstOrderPair, float | None]:
+    """One first-order transform, and the tracing loss on ``keep`` (None without)."""
+    if keep is None:
+        return transform_first_order(model, state), None
     layout = state.layout
     keep.validate_for(layout)
     reference = _complement_reference(layout.subset_ranks(state.occupations(), keep)[1])

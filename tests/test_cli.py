@@ -156,10 +156,21 @@ def test_scan_budget_failure_exit_three(squeezer_doc, capsys):
         (["--n", "0..10000000000000000000000"], 3, "BudgetError"),
         (["--n", "10000000000000000000000"], 3, "BudgetError"),
         (["--n", "0..1", "--pair-with", "1", "--m", "0..100000000"], 3, "BudgetError"),
+        # An explicit cutoff admits the range; the scan stops at its first
+        # failing point instead of listing 10^8 points.
+        (["--n", "0..100000000", "--cutoff", "5", "--pair-with", "1"], 3, "BudgetError"),
         (["--n", "3..2"], 1, "ValueError"),
         (["--n", "0..1", "--pair-with", "1", "--m", "2..1"], 1, "ValueError"),
     ],
-    ids=["long-n", "past-ssize_t", "one-huge-n", "long-m", "reversed-n", "reversed-m"],
+    ids=[
+        "long-n",
+        "past-ssize_t",
+        "one-huge-n",
+        "long-m",
+        "explicit-cutoff",
+        "reversed-n",
+        "reversed-m",
+    ],
 )
 def test_scan_range_checked_before_points_are_listed(grid, code, error, tmp_path, capsys):
     bs = {"builtin": "beam_splitter", "k": 0, "kprime": 1, "modes": 2}
@@ -650,6 +661,7 @@ _BAD_DOCUMENTS = [
     ("bool-re", '[{"occ": [1, 1], "re": true}]', None, None, 2, "ModelFormatError"),
     ("string-re", '[{"occ": [1, 1], "re": "1.0"}]', None, None, 2, "ModelFormatError"),
     ("overflowing-re", '[{"occ": [1, 1], "re": 1e400}]', None, None, 2, "ModelFormatError"),
+    ("no-headroom", '[{"occ": [1, 2], "re": 1.0}]', None, "3", 3, "BudgetError"),
 ]
 
 

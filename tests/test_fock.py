@@ -1,4 +1,4 @@
-"""Fock-space core: ladder operators, inner products, partial trace."""
+"""Fock-space core: sparse states, inner products, partial trace."""
 
 import itertools
 import math
@@ -13,9 +13,7 @@ from bogofisher import (
     ModeLayout,
     ModeSubset,
     StateVector,
-    annihilate,
     average_particle_number,
-    create,
     inner_product,
     partial_trace,
 )
@@ -23,46 +21,6 @@ from bogofisher import (
 from bogofisher.fock import PRUNE_EPS
 
 from helpers import random_state
-
-
-def test_create_on_vacuum():
-    layout = ModeLayout(1, 4)
-    out = create(StateVector.vacuum(layout), 0)
-    assert out.items() == [((1,), pytest.approx(1.0))]
-    assert out.leakage == 0.0
-
-
-def test_create_sqrt_rule():
-    layout = ModeLayout(1, 4)
-    out = create(StateVector.from_occupation(layout, [2]), 0)
-    assert out.amplitude([3]) == pytest.approx(math.sqrt(3))
-
-
-def test_create_at_cutoff_leaks():
-    layout = ModeLayout(1, 3)
-    state = StateVector.from_occupation(layout, [3])
-    out = create(state, 0)
-    assert len(out) == 0
-    assert out.leakage == pytest.approx(1.0)
-
-
-def test_annihilate_vacuum_gives_zero_state():
-    layout = ModeLayout(2, 3)
-    out = annihilate(StateVector.vacuum(layout), 1)
-    assert len(out) == 0
-
-
-def test_annihilate_sqrt_rule():
-    layout = ModeLayout(1, 4)
-    out = annihilate(StateVector.from_occupation(layout, [3]), 0)
-    assert out.amplitude([2]) == pytest.approx(math.sqrt(3))
-
-
-def test_annihilate_linearity():
-    layout = ModeLayout(1, 4)
-    state = StateVector(layout, {(0,): 1 / math.sqrt(2), (1,): 1 / math.sqrt(2)})
-    out = annihilate(state, 0)
-    assert out.items() == [((0,), pytest.approx(1 / math.sqrt(2)))]
 
 
 def test_inner_product_orthonormality():
@@ -94,22 +52,6 @@ def test_inner_product_conjugate_symmetry(seed):
     a = random_state(rng, layout, terms=4)
     b = random_state(rng, layout, terms=4)
     assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)))
-
-
-def test_commutator_on_random_states():
-    # (a_m adag_n - adag_n a_m)|psi> = delta_mn |psi> below the cutoff
-    rng = np.random.default_rng(11)
-    layout = ModeLayout(2, 6)
-    for _ in range(10):
-        psi = random_state(rng, layout, terms=3, max_occ=4)
-        for m in range(2):
-            for n in range(2):
-                lhs = annihilate(create(psi, n), m).add(
-                    create(annihilate(psi, m), n).scaled(-1.0)
-                )
-                expected = psi if m == n else StateVector(layout, {})
-                diff = lhs.add(expected.scaled(-1.0))
-                assert diff.norm() < 1e-12
 
 
 def test_partial_trace_product_state_is_rank_one():
@@ -181,7 +123,8 @@ def test_layout_budget_enforced():
     # (which reads basis_size) is refused.
     layout = ModeLayout(10, 5)
     state = StateVector.from_occupation(layout, [1] + [0] * 9)
-    assert create(state, 9).support() == ((1,) + (0,) * 8 + (1,),)
+    far = StateVector.from_occupation(layout, [1] + [0] * 8 + [1])
+    assert state.add(far).support() == ((1,) + (0,) * 9, (1,) + (0,) * 8 + (1,))
     with pytest.raises(BudgetError, match="dense-dimension budget"):
         state.to_dense()
     with pytest.raises(BudgetError, match="dense-dimension budget"):

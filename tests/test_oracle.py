@@ -457,7 +457,7 @@ def test_shell_monitor_rejects_non_finite_vector():
     vec[0] = 1.0
     vec[layout.cutoff] = np.nan
     with pytest.raises(BudgetError):
-        oracle._check_shell_weight(vec, oracle._shell_mask(layout), 1e-10)
+        oracle._check_shell_weight(vec, oracle._shell_mask(layout))
 
 
 _STEP_CALLS = {
@@ -485,7 +485,7 @@ def test_sweep_over_norm_budget_refused_before_expm_multiply(monkeypatch):
 
     gen = two_mode_squeezer_generator(0, 1, 2)
     state = StateVector.from_occupation(ModeLayout(2, 7), [1, 1])
-    _, norm = oracle._operator(gen, state.layout)
+    norm = oracle._prepared(gen, state.layout).norm
     monkeypatch.setattr(oracle, "_taylor_sweep", refuse)
     theta = 1.01 * oracle.SWEEP_NORM_BUDGET / norm
     for evolve in (
@@ -525,10 +525,10 @@ def test_operator_built_once_per_generator_and_truncation(monkeypatch):
 def test_kept_operator_norm_and_read_only_shell_mask():
     gen = squeezer_generator(0, 1)
     layout = ModeLayout(1, 6)
-    A, norm = oracle._operator(gen, layout)
-    assert oracle._operator(gen, layout)[0] is A
+    op = oracle._prepared(gen, layout)
+    assert oracle._prepared(gen, layout) is op
     dense = dense_hamiltonian_matrix(gen, layout)
-    assert norm == pytest.approx(np.max(np.abs(dense).sum(axis=0)))
+    assert op.norm == pytest.approx(np.max(np.abs(dense).sum(axis=0)))
     mask = oracle._shell_mask(layout)
     assert oracle._shell_mask(ModeLayout(1, 6)) is mask
     assert not mask.flags.writeable

@@ -85,9 +85,10 @@ def test_sweep_past_exact_range_is_accurate(span_norm, num):
 def test_descending_sweep_returns_the_ascending_rows_reversed():
     rng = np.random.default_rng(8)
     gen = random_generator(rng, 2, 0.7)
-    state = StateVector.from_occupation(ModeLayout(2, 7), [1, 1])
-    v0, sweep = oracle._propagation(gen, state, 1.0)
-    A = oracle._operator(gen, state.layout)[0]
+    # At cutoff 9 every vector of the sweep meets the boundary-shell budget.
+    state = StateVector.from_occupation(ModeLayout(2, 9), [1, 1])
+    v0, sweep = oracle._propagation(gen, state)
+    A = oracle._prepared(gen, state.layout).matrix
     expected = expm_multiply(A, v0, start=-1e-2, stop=3e-2, num=5, endpoint=True)
     assert sweep(3e-2, -1e-2, 5).tobytes() == expected[::-1].tobytes()
 

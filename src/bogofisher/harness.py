@@ -335,21 +335,21 @@ def optimize_state(
 ) -> OptimizationResult:
     """Maximize the (reduced) QFI over amplitudes on a fixed Fock support.
 
-    L-BFGS-B over the real and imaginary amplitude coordinates x.  Every
-    evaluation maps x onto the normalization and mean-occupation
-    constraints in closed form (see :func:`_retraction`) and scores the
-    result with the objective compiled once per support (see
-    :func:`_support_score`); the gradient is analytic and chained through
-    the retraction.  ``max_iter`` caps the L-BFGS-B iterations of each
-    restart.  Restart 0 starts from equal amplitudes, the others from
+    Limited-memory BFGS (:func:`_lbfgs`, numpy only) over the real and
+    imaginary amplitude coordinates x.  Every evaluation maps x onto the
+    normalization and mean-occupation constraints in closed form (see
+    :func:`_retraction`) and scores the result with the objective compiled
+    once per support (see :func:`_support_score`); the gradient is
+    analytic and chained through the retraction.  A restart stops when
+    max|gradient| <= 1e-9, when a step lowers the objective by at most
+    1e-12 relative, when a step no longer moves x, or after ``max_iter``
+    iterations.  Restart 0 starts from equal amplitudes, the others from
     seeded normal draws; the score reported for each restart is
     recomputed on the first-order route.  Deterministic for a fixed seed:
     the winner is chosen by score, then lexicographically smallest
     amplitudes.  ``stationarity_residual`` is the gradient norm of the
     retracted objective at the winner.
     """
-    from scipy.optimize import minimize
-
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if max_iter < 1:
@@ -405,22 +405,13 @@ def optimize_state(
     candidates = []
     logs = []
     for index, x0 in enumerate(starts):
-        # scipy's default ftol stops on a 2.2e-9 relative decrease: on the
-        # benchmark's optimize jobs that left gradient norms up to 4e-3,
-        # where 1e-12 leaves under 1e-4 for a sixth more iterations.
-        result = minimize(
-            objective,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": max_iter, "gtol": 1e-9, "ftol": 1e-12},
-        )
-        retracted = retract(result.x[:size] + 1j * result.x[size:])
+        x, iterations = _lbfgs(objective, x0, max_iter)
+        retracted = retract(x[:size] + 1j * x[size:])
         if retracted is None:
             continue
         c = _fix_gauge(retracted[0])
         achieved = score(c)
-        logs.append(RestartLog(index, int(result.nit), achieved))
+        logs.append(RestartLog(index, iterations, achieved))
         candidates.append((achieved, _lex_key(c), c))
     if not candidates:
         raise SupportError("no feasible amplitudes found on the support")
@@ -584,6 +575,63 @@ def _retraction(
         return y, pullback
 
     return retract
+
+
+def _lbfgs(
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.ndarray, max_iter: int
+) -> tuple[np.ndarray, int]:
+    """Minimize ``fun`` (value and gradient) from ``x0`` by limited-memory BFGS.
+
+    The two-loop recursion over the last 10 pairs (s, y) with s^T y > 0,
+    scaled by s^T y / y^T y (the first step by 1 / max(1, |g|)), restarted
+    from steepest descent when its direction does not descend.  Each step
+    backtracks from t = 1 until the Armijo condition with c1 = 1e-4 holds,
+    the next trial the minimizer of the quadratic through f, f'(0) and the
+    failed value, kept in [0.1 t, 0.5 t]; a large value where the
+    objective is undefined fails like any other.  Stops when max|g| <=
+    1e-9, when a step lowers f by at most 1e-12 max(|f|, |f_new|, 1), after
+    ``max_iter`` steps, or when a step no longer moves x.  Returns x and
+    the number of steps taken.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1 / s^T y), oldest first
+    for iteration in range(max_iter):
+        if abs(g).max() <= 1e-9:
+            return x, iteration
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d = d - alphas[-1] * y
+        if pairs:
+            s, y, rho = pairs[-1]
+            d = d / (rho * (y @ y))
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d = d + (alpha - rho * (y @ d)) * s
+        if not (pairs and g @ d < 0.0):
+            pairs = []
+            d = -g / max(1.0, math.sqrt(g @ g))
+        slope = float(g @ d)
+        t = 1.0
+        while True:
+            x_new = x + t * d
+            if (x_new == x).all():
+                return x, iteration
+            f_new, g_new = fun(x_new)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            trial = -slope * t * t / (2.0 * (f_new - f - slope * t))
+            t = min(0.5 * t, max(0.1 * t, trial))  # a NaN trial gives 0.1 t
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            pairs = pairs[-9:] + [(s, y, 1.0 / sy)]
+        converged = f - f_new <= 1e-12 * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if converged:
+            return x, iteration + 1
+    return x, max_iter
 
 
 def _fix_gauge(c: np.ndarray) -> np.ndarray:

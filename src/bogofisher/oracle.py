@@ -414,19 +414,24 @@ def _propagation(gen: GeneratorSpec, state: StateVector):
     def sweep(start: float, stop: float, num: int) -> np.ndarray:
         # The interval algorithm assumes start <= stop, so run it ascending.
         lo, hi = min(start, stop), max(start, stop)
-        # Written as "not <=" so that a NaN span (a non-finite theta) fails.
-        if not (hi - lo) * op.norm <= SWEEP_NORM_BUDGET:
-            raise BudgetError(
-                f"sweep over [{lo:.3e}, {hi:.3e}] times the operator 1-norm "
-                f"{op.norm:.3e} exceeds the budget {SWEEP_NORM_BUDGET:.0e}; "
-                "use a smaller step"
-            )
+        _check_sweep_norm(op, lo, hi)
         out = _taylor_sweep(op, v0, lo, hi, num)
         for vec in out:
             _check_shell_weight(vec, shell)
         return out if start <= stop else out[::-1]
 
     return v0, sweep
+
+
+def _check_sweep_norm(op: _Operator, lo: float, hi: float) -> None:
+    """A sweep over [lo, hi] whose span times ||A||_1 is within ``SWEEP_NORM_BUDGET``."""
+    # Written as "not <=" so that a NaN span (a non-finite theta) fails.
+    if not (hi - lo) * op.norm <= SWEEP_NORM_BUDGET:
+        raise BudgetError(
+            f"sweep over [{lo:.3e}, {hi:.3e}] times the operator 1-norm "
+            f"{op.norm:.3e} exceeds the budget {SWEEP_NORM_BUDGET:.0e}; "
+            "use a smaller step"
+        )
 
 
 def exact_unitary(gen: GeneratorSpec, theta: float, layout: ModeLayout) -> ExactUnitary:
@@ -449,9 +454,19 @@ def exact_unitary(gen: GeneratorSpec, theta: float, layout: ModeLayout) -> Exact
 
 
 def evolve_state(gen: GeneratorSpec, state: StateVector, theta: float) -> StateVector:
-    """Apply the exact propagator to a sparse state, monitoring the boundary shell."""
-    _, sweep = _propagation(gen, state)
-    return StateVector.from_dense(state.layout, sweep(0.0, theta, 2)[1])
+    """Apply the exact propagator to a sparse state, monitoring the boundary shell.
+
+    One Taylor step from 0 to ``theta`` of either sign, its degree and step
+    count set by |theta| ||A - mu I||_1: the step a sweep from 0 makes.
+    """
+    v0, _ = _propagation(gen, state)
+    op = _prepared(gen, state.layout)
+    lo, hi = (0.0, theta) if theta >= 0.0 else (theta, 0.0)  # a NaN theta fails the check
+    _check_sweep_norm(op, lo, hi)
+    m_star, s = _taylor_degree((hi - lo) * op.shifted_norm)
+    psi = _taylor_step(op.shifted, v0, theta, op.mu, m_star, s)
+    _check_shell_weight(psi, _shell_mask(state.layout))
+    return StateVector.from_dense(state.layout, psi)
 
 
 @dataclass(frozen=True)

@@ -423,3 +423,36 @@ def loop_first_order(model: BogoliubovFirstOrder, state: StateVector, keep=None)
             projected[part] = projected.get(part, 0.0) + weight.conjugate() * amp
     loss = 4.0 * math.fsum(abs(v) ** 2 for part, v in projected.items() if part != reference)
     return psi0, psi1, loss
+
+
+def dual_bound(model: BogoliubovFirstOrder, support, target: float, amplitudes) -> float:
+    """An upper bound on the full-system first-order QFI over ``support`` at <N> = target.
+
+    Q = M^dag M and H = i P0^dag M come from ``transform_first_order`` of
+    each support state, so the QFI of amplitudes c is 4(c^dag Q c - t^2)
+    with t = c^dag H c.  For every real mu and nu and every feasible c
+    (c^dag c = 1, c^dag E c = 0 with E = diag(N - target)),
+    c^dag Q c - t^2 <= mu^2 + c^dag (Q - 2 mu H - nu E) c, so
+    U = 4(mu^2 + lambda_max(Q - 2 mu H - nu E)) bounds every c.  The bound
+    is taken at mu = t of ``amplitudes`` and at the nu fitted by least
+    squares to their stationarity condition (Q - 2tH)c = nu E c + lambda c;
+    it equals their QFI when they are a global optimum.
+    """
+    from bogofisher import transform_first_order
+    from bogofisher.perturb import CUTOFF_HEADROOM
+
+    occ = np.array(support, dtype=np.int64, ndmin=2)
+    layout = ModeLayout(occ.shape[1], int(occ.max()) + CUTOFF_HEADROOM)
+    pairs = [transform_first_order(model, StateVector.from_occupation(layout, o)) for o in occ]
+    p0 = np.column_stack([pair.psi0.to_dense() for pair in pairs])
+    m1 = np.column_stack([pair.psi1.to_dense() for pair in pairs])
+    Q = m1.conj().T @ m1
+    H = 1j * (p0.conj().T @ m1)
+    assert np.max(np.abs(H - H.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(H)))
+    H = 0.5 * (H + H.conj().T)
+    E = np.diag(occ.sum(axis=1) - float(target))
+    c = np.asarray(amplitudes, dtype=complex)
+    t = float(np.vdot(c, H @ c).real)
+    lhs = np.column_stack([E @ c, c])
+    (nu, _), *_ = np.linalg.lstsq(lhs, (Q - 2.0 * t * H) @ c, rcond=None)
+    return 4.0 * (t * t + float(np.linalg.eigvalsh(Q - 2.0 * t * H - nu.real * E)[-1]))

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,9 +27,9 @@ from bogofisher import (
     vacuum_qfi,
 )
 from bogofisher import harness, qfi
-from bogofisher.harness import _retraction, _support_score, worker_count
+from bogofisher.harness import _lbfgs, _retraction, _support_score, worker_count
 
-from helpers import random_model, rephased
+from helpers import dual_bound, random_model, rephased
 
 
 def test_scan_single_mode_squeezer_values():
@@ -276,8 +275,7 @@ def test_optimize_keep_rejects_varying_complement_before_minimize(monkeypatch):
     def no_minimize(*args, **kwargs):
         raise AssertionError("minimize ran on an invalid support")
 
-    # optimize_state imports minimize when it runs, so patch where it is read.
-    monkeypatch.setattr(scipy.optimize, "minimize", no_minimize)
+    monkeypatch.setattr(harness, "_lbfgs", no_minimize)
     model = two_mode_squeezer(0, 1, 3)
     with pytest.raises(SupportError, match="complement occupation varies"):
         optimize_state(
@@ -419,6 +417,104 @@ def test_optimize_first_restart_not_below_its_start(modes, kept, support, use_ke
     assert result.restarts[0].score >= start_score - 1e-12 * max(1.0, start_score)
     assert result.constraint_residual <= 1e-12
     assert 0.0 <= result.stationarity_residual <= 1e-4 * max(1.0, result.qfi)
+
+
+def _spd_quadratic(seed, size=8, curvature=(1.0, 10.0)):
+    """(x - x*)^T A (x - x*) / 2 with the eigenvalues of A drawn from ``curvature``."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    matrix = basis @ np.diag(rng.uniform(*curvature, size)) @ basis.T
+    minimum = rng.normal(size=size)
+
+    def fun(x):
+        grad = matrix @ (x - minimum)
+        return 0.5 * (x - minimum) @ grad, grad
+
+    return fun, rng.normal(size=size)
+
+
+def test_lbfgs_reaches_the_gradient_tolerance_on_a_quadratic():
+    # At curvature 1e-6 a step still lowers f by more than 1e-12 when
+    # max|g| reaches 1e-9, so the gradient rule, not the decrease rule, stops it.
+    for seed in range(5):
+        fun, x0 = _spd_quadratic(seed, curvature=(1e-6, 1e-5))
+        x, iterations = _lbfgs(fun, x0, 200)
+        assert np.max(np.abs(fun(x)[1])) <= 1e-9
+        assert 0 < iterations < 200
+
+
+def test_lbfgs_honours_max_iter():
+    fun, x0 = _spd_quadratic(7)
+    x, iterations = _lbfgs(fun, x0, 1)
+    assert iterations == 1
+    assert fun(x)[0] < fun(x0)[0]
+    assert np.max(np.abs(fun(x)[1])) > 1e-9
+
+
+@pytest.mark.parametrize("offset,steps", [(1e6, 1), (0.0, 50)])
+def test_lbfgs_stops_on_a_relative_decrease_of_1e_12(offset, steps):
+    # A steady slope of 1e-4 never meets the gradient tolerance; each step
+    # lowers f by 4e-8, which is at most 1e-12 |f| only at the large offset.
+    slope = np.full(4, 1e-4)
+    x, iterations = _lbfgs(lambda x: (offset + slope @ x, slope), np.zeros(4), 50)
+    assert iterations == steps
+
+
+def test_lbfgs_backs_off_where_the_objective_is_undefined():
+    # Minimum at 3 behind a wall at 2, reported as the sentinel value 1e9.
+    def fun(x):
+        if x[0] >= 2.0:
+            return 1e9, np.zeros(1)
+        return (x[0] - 3.0) ** 2, 2.0 * (x - 3.0)
+
+    x, _ = _lbfgs(fun, np.zeros(1), 100)
+    assert 1.99 < x[0] < 2.0
+
+
+def test_lbfgs_is_deterministic():
+    fun, x0 = _spd_quadratic(3, size=12)
+    first, second = _lbfgs(fun, x0, 100), _lbfgs(fun, x0, 100)
+    assert first[0].tobytes() == second[0].tobytes()
+    assert first[1] == second[1]
+
+
+def _random_support(rng, modes, size):
+    while True:
+        support = sorted({tuple(map(int, rng.integers(0, 4, size=modes))) for _ in range(size)})
+        totals = [sum(occ) for occ in support]
+        if len(support) == size and min(totals) < max(totals):
+            return support, 0.5 * (min(totals) + max(totals))
+
+
+def _assert_certified(model, support, target, result):
+    bound = dual_bound(model, support, target, result.amplitudes)
+    assert result.qfi <= bound * (1.0 + 1e-12)
+    assert result.qfi >= bound * (1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_optimize_meets_the_dual_bound_on_random_models(case):
+    rng = np.random.default_rng([31, case])
+    modes, size = 2 + case % 2, 3 + case % 4
+    model = rephased(random_model(rng, modes), rng.uniform(0.0, 2.0 * math.pi, modes))
+    assert not np.allclose(model.G, 1.0)
+    support, target = _random_support(rng, modes, size)
+    _assert_certified(model, support, target, optimize_state(model, support, target))
+
+
+@pytest.mark.parametrize("nbar", [1, 2, 3, 4])
+def test_optimize_meets_the_dual_bound_on_full_beam_splitter_supports(nbar):
+    model = beam_splitter(0, 1, 2)
+    support = [(a, b) for a in range(2 * nbar + 1) for b in range(2 * nbar + 1 - a)]
+    result = optimize_state(model, support, float(nbar), restarts=2)
+    _assert_certified(model, support, nbar, result)
+
+
+def test_optimize_meets_the_dual_bound_on_the_45_state_squeezer_support():
+    model = two_mode_squeezer(0, 1, 3)
+    support = [(a, b, 0) for a in range(9) for b in range(9 - a)]
+    target = sum(map(sum, support)) / len(support)
+    _assert_certified(model, support, target, optimize_state(model, support, target, restarts=2))
 
 
 @st.composite

@@ -48,8 +48,8 @@ def docs(tmp_path):
         ("first-order", []),
         ("scan", ["scipy", "bogofisher.oracle"]),
         ("oracle-compare", ["scipy", "bogofisher.oracle"]),
+        ("optimize", []),
         # scipy.optimize loads scipy.sparse.linalg; the oracle's sweep does not.
-        ("optimize", ["scipy", "scipy.optimize", "scipy.special", "scipy.sparse.linalg"]),
         ("scan --fit", ["scipy", "scipy.optimize", "scipy.special", "scipy.sparse.linalg",
                         "bogofisher.oracle"]),
     ],

@@ -96,6 +96,35 @@ def test_evolve_state_matches_exact_unitary(theta):
     assert np.max(np.abs(evolved - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("theta", [0.05, -0.05])
+def test_evolve_state_takes_one_taylor_step_for_either_sign(monkeypatch, theta):
+    rng = np.random.default_rng(57)
+    layout = ModeLayout(2, 9)
+    gen = random_generator(rng, 2, 0.5)
+    state = random_state(rng, layout, modes=[0, 1], terms=2, max_occ=2)
+    # The answer of a two-point sweep from 0, which steps to theta first
+    # when theta < 0 and then back to 0.
+    _, sweep = oracle._propagation(gen, state)
+    swept = sweep(0.0, theta, 2)[1]
+    steps = []
+    real_step = oracle._taylor_step
+
+    def counted(A, b, t, *args):
+        steps.append(t)
+        return real_step(A, b, t, *args)
+
+    monkeypatch.setattr(oracle, "_taylor_step", counted)
+    evolved = evolve_state(gen, state, theta)
+    assert steps == [theta]
+    assert evolved.to_dense().tobytes() == swept.tobytes()
+
+
+def test_evolve_state_refuses_a_nan_theta():
+    state = StateVector.from_occupation(ModeLayout(2, 7), [1, 1])
+    with pytest.raises(BudgetError, match="exceeds the budget"):
+        evolve_state(two_mode_squeezer_generator(0, 1, 2), state, math.nan)
+
+
 def test_qfi_fidelity_pure_negative_step():
     gen = two_mode_squeezer_generator(0, 1, 2)
     state = StateVector.from_occupation(ModeLayout(2, 9), [1, 1])

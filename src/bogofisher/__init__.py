@@ -76,7 +76,6 @@ __all__ = [
     "BudgetError",
     "DensityOperator",
     "DerivativeStates",
-    "ExactUnitary",
     "FidelityEstimate",
     "FirstOrderPair",
     "GeneratorK",
@@ -102,9 +101,6 @@ __all__ = [
     "derivative_states",
     "eval_named_states",
     "evolve_state",
-    "exact_unitary",
-    "extract_bogoliubov",
-    "extract_first_order",
     "fit_scaling",
     "generator_from_model",
     "hamiltonian",

@@ -15,9 +15,8 @@ their backward-error bound at double precision, and for t||A||_1 up to
 63.4 it returns the vectors of ``scipy.sparse.linalg.expm_multiply`` bit
 for bit.  Everything downstream is obtained nonperturbatively:
 fidelity-based QFI with Richardson extrapolation, Uhlmann fidelity for
-reduced states, finite-difference state and density-operator
-derivatives, and Bogoliubov coefficients from the classical 2M x 2M
-mode-transformation exponential.
+reduced states, and finite-difference state and density-operator
+derivatives.
 
 Convention pinned here and mirrored by the perturbative module: the
 mode operators transform as a_m -> U^dag a_m U, so the single-mode
@@ -35,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .bogoliubov import BogoliubovFirstOrder
@@ -56,8 +54,6 @@ DEFAULT_DTHETA_FIRST = 1e-4
 DEFAULT_DTHETA_SECOND = 1e-3
 DEFAULT_DTHETA_FIDELITY = 1e-3
 SHELL_BUDGET = 1e-10
-# One dense complex matrix of this dimension takes 268 MB; expm holds several.
-EXACT_UNITARY_DIM_BUDGET = 4096
 # Largest |stop - start| * ||H||_1 of one sweep.  The cost of a Taylor
 # sweep grows linearly in it; the oracle's finite-difference steps need
 # about 1.
@@ -104,22 +100,6 @@ class GeneratorSpec:
     @property
     def mode_count(self) -> int:
         return int(self.h.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
-class ExactUnitary:
-    """Dense propagator at one parameter value, with quality monitors.
-
-    ``unitarity_residual`` is the worst column-norm deviation from 1;
-    ``shell_coupling`` bounds the amplitude the propagator moves from
-    interior states into the two boundary levels of the cutoff.
-    """
-
-    matrix: np.ndarray
-    theta: float
-    layout: ModeLayout
-    unitarity_residual: float
-    shell_coupling: float
 
 
 def squeezer_generator(k: int, mode_count: int, strength: float = 1.0) -> GeneratorSpec:
@@ -434,25 +414,6 @@ def _check_sweep_norm(op: _Operator, lo: float, hi: float) -> None:
         )
 
 
-def exact_unitary(gen: GeneratorSpec, theta: float, layout: ModeLayout) -> ExactUnitary:
-    """Dense U(theta) = exp(-i theta H) with unitarity and leakage monitors."""
-    if layout.basis_size > EXACT_UNITARY_DIM_BUDGET:
-        raise BudgetError(
-            f"dense unitary dimension {layout.basis_size} over budget "
-            f"{EXACT_UNITARY_DIM_BUDGET}"
-        )
-    matrix = scipy.linalg.expm(theta * _prepared(gen, layout).matrix.toarray())
-    col_norms = np.linalg.norm(matrix, axis=0)
-    unitarity_residual = float(np.max(np.abs(col_norms - 1.0)))
-    shell = _shell_mask(layout)
-    if shell.any() and not shell.all():
-        block = matrix[np.ix_(shell, ~shell)]
-        shell_coupling = float(np.linalg.norm(block, ord=2))
-    else:
-        shell_coupling = 0.0
-    return ExactUnitary(matrix, theta, layout, unitarity_residual, shell_coupling)
-
-
 def evolve_state(gen: GeneratorSpec, state: StateVector, theta: float) -> StateVector:
     """Apply the exact propagator to a sparse state, monitoring the boundary shell.
 
@@ -706,31 +667,3 @@ def coherent_state(layout: ModeLayout, mode: int, alpha: complex) -> StateVector
     _check_shell_weight(vec, _shell_mask(layout))
     return StateVector.from_dense(layout, vec)
 
-
-def classical_transfer_matrix(gen: GeneratorSpec) -> np.ndarray:
-    """2M x 2M coefficient matrix of the Heisenberg mode equations."""
-    h, g = gen.h, gen.g
-    return np.block([[-1j * h, -1j * g], [1j * g.conj(), 1j * h.conj()]])
-
-
-def extract_bogoliubov(gen: GeneratorSpec, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact alpha(theta), beta(theta) from the classical exponential.
-
-    Works at the mode-operator level, free of any Fock truncation.
-    """
-    E = scipy.linalg.expm(theta * classical_transfer_matrix(gen))
-    M = gen.mode_count
-    alpha = E[:M, :M].conj()
-    beta = -E[:M, M:].conj()
-    return alpha, beta
-
-
-def extract_first_order(
-    gen: GeneratorSpec, dtheta: float = 1e-5
-) -> BogoliubovFirstOrder:
-    """First-order coefficient model by central differencing at theta = 0."""
-    alpha_p, beta_p = extract_bogoliubov(gen, dtheta)
-    alpha_m, beta_m = extract_bogoliubov(gen, -dtheta)
-    alpha1 = (alpha_p - alpha_m) / (2.0 * dtheta)
-    beta1 = (beta_p - beta_m) / (2.0 * dtheta)
-    return BogoliubovFirstOrder(np.ones(gen.mode_count), alpha1, beta1)

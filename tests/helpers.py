@@ -1,4 +1,9 @@
-"""Shared test utilities: dense realizations and hand-coded golden expansions.
+"""Shared test utilities: dense references and hand-coded golden expansions.
+
+The dense ``expm`` references live here, not in the package: the dense
+propagator that the oracle's Taylor sweep is checked against, and the
+classical 2M x 2M mode exponential that recovers a generator's
+Bogoliubov coefficients, from which the model builders are checked.
 
 The golden first-order expansions below are written out term by term,
 independently of the package's sparse generator machinery, so the two
@@ -15,6 +20,7 @@ import subprocess
 import sys
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 import bogofisher
@@ -24,7 +30,7 @@ from bogofisher import (
     GeneratorSpec,
     ModeLayout,
     StateVector,
-    extract_first_order,
+    oracle,
 )
 
 
@@ -87,6 +93,33 @@ def dense_hamiltonian_matrix(gen: GeneratorSpec, layout: ModeLayout) -> np.ndarr
             create = 0.5 * gen.g[m, n] * ladders[m].conj().T @ ladders[n].conj().T
             H += create + create.conj().T
     return H.toarray()
+
+
+def dense_propagator(gen: GeneratorSpec, theta: float, layout: ModeLayout) -> np.ndarray:
+    """Dense U(theta) = exp(-i theta H) from the oracle's cached sparse -iH."""
+    return scipy.linalg.expm(theta * oracle._prepared(gen, layout).matrix.toarray())
+
+
+def extract_bogoliubov(gen: GeneratorSpec, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact alpha(theta), beta(theta) from the classical exponential.
+
+    Exponentiates the 2M x 2M coefficient matrix of the Heisenberg mode
+    equations, free of any Fock truncation.
+    """
+    h, g = gen.h, gen.g
+    transfer = np.block([[-1j * h, -1j * g], [1j * g.conj(), 1j * h.conj()]])
+    E = scipy.linalg.expm(theta * transfer)
+    M = gen.mode_count
+    return E[:M, :M].conj(), -E[:M, M:].conj()
+
+
+def extract_first_order(gen: GeneratorSpec, dtheta: float = 1e-5) -> BogoliubovFirstOrder:
+    """First-order coefficient model by central differencing at theta = 0."""
+    alpha_p, beta_p = extract_bogoliubov(gen, dtheta)
+    alpha_m, beta_m = extract_bogoliubov(gen, -dtheta)
+    alpha1 = (alpha_p - alpha_m) / (2.0 * dtheta)
+    beta1 = (beta_p - beta_m) / (2.0 * dtheta)
+    return BogoliubovFirstOrder(np.ones(gen.mode_count), alpha1, beta1)
 
 
 def random_generator(rng: np.random.Generator, modes: int, scale: float) -> GeneratorSpec:

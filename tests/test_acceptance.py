@@ -42,10 +42,11 @@ from bogofisher.cli import cli_main
 
 from helpers import (
     dense_generator_matrix,
+    extract_first_order,
     random_generator,
     random_state,
 )
-from bogofisher import build_generator, extract_first_order
+from bogofisher import build_generator
 
 
 def _verdict(number: int, description: str, checks: list[tuple[bool, str]]) -> None:

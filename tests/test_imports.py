@@ -17,7 +17,8 @@ import json, sys
 from bogofisher.cli import cli_main
 
 codes = [cli_main(argv) for argv in json.loads(sys.argv[1])]
-watched = ("scipy", "scipy.optimize", "scipy.special", "scipy.sparse.linalg", "bogofisher.oracle")
+watched = ("scipy", "scipy.linalg", "scipy.optimize", "scipy.special", "scipy.sparse.linalg",
+           "bogofisher.oracle")
 loaded = [m for m in watched if m in sys.modules]
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
@@ -49,9 +50,10 @@ def docs(tmp_path):
         ("scan", ["scipy", "bogofisher.oracle"]),
         ("oracle-compare", ["scipy", "bogofisher.oracle"]),
         ("optimize", []),
-        # scipy.optimize loads scipy.sparse.linalg; the oracle's sweep does not.
-        ("scan --fit", ["scipy", "scipy.optimize", "scipy.special", "scipy.sparse.linalg",
-                        "bogofisher.oracle"]),
+        # scipy.optimize loads scipy.linalg and scipy.sparse.linalg; the oracle
+        # loads neither.
+        ("scan --fit", ["scipy", "scipy.linalg", "scipy.optimize", "scipy.special",
+                        "scipy.sparse.linalg", "bogofisher.oracle"]),
     ],
 )
 def test_commands_import_scipy_only_when_they_use_it(command, loaded, docs):

@@ -18,9 +18,6 @@ from bogofisher import (
     coherent_state,
     derivative_states,
     evolve_state,
-    exact_unitary,
-    extract_bogoliubov,
-    extract_first_order,
     generator_from_model,
     hamiltonian,
     independent_squeezers_generator,
@@ -39,15 +36,23 @@ from bogofisher import (
 from bogofisher import oracle
 from bogofisher.cli import cli_main
 
-from helpers import dense_hamiltonian_matrix, random_generator, random_state, state_distance
+from helpers import (
+    dense_hamiltonian_matrix,
+    dense_propagator,
+    extract_bogoliubov,
+    extract_first_order,
+    random_generator,
+    random_state,
+    state_distance,
+)
 
 
 def test_exact_unitary_at_zero_is_identity():
     gen = squeezer_generator(0, 1)
     layout = ModeLayout(1, 8)
-    u = exact_unitary(gen, 0.0, layout)
-    assert np.allclose(u.matrix, np.eye(layout.basis_size), atol=1e-14)
-    assert u.unitarity_residual < 1e-12
+    u = dense_propagator(gen, 0.0, layout)
+    assert np.allclose(u, np.eye(layout.basis_size), atol=1e-14)
+    assert np.max(np.abs(np.linalg.norm(u, axis=0) - 1.0)) < 1e-12
 
 
 def test_hamiltonian_matches_kron_ladders():
@@ -60,18 +65,12 @@ def test_hamiltonian_matches_kron_ladders():
             assert np.max(np.abs(H - dense_hamiltonian_matrix(gen, layout))) < 1e-12
 
 
-def test_exact_unitary_dense_budget():
-    gen = squeezer_generator(0, 2)
-    with pytest.raises(BudgetError):
-        exact_unitary(gen, 0.1, ModeLayout(2, 99))
-
-
 def test_exact_unitary_group_property():
     gen = two_mode_squeezer_generator(0, 1, 2)
     layout = ModeLayout(2, 7)
-    u1 = exact_unitary(gen, 0.07, layout).matrix
-    u2 = exact_unitary(gen, 0.05, layout).matrix
-    u12 = exact_unitary(gen, 0.12, layout).matrix
+    u1 = dense_propagator(gen, 0.07, layout)
+    u2 = dense_propagator(gen, 0.05, layout)
+    u12 = dense_propagator(gen, 0.12, layout)
     assert np.max(np.abs(u1 @ u2 - u12)) < 1e-10
 
 
@@ -91,7 +90,7 @@ def test_evolve_state_matches_exact_unitary(theta):
     layout = ModeLayout(2, 9)
     gen = random_generator(rng, 2, 0.5)
     state = random_state(rng, layout, modes=[0, 1], terms=2, max_occ=2)
-    expected = exact_unitary(gen, theta, layout).matrix @ state.to_dense()
+    expected = dense_propagator(gen, theta, layout) @ state.to_dense()
     evolved = evolve_state(gen, state, theta).to_dense()
     assert np.max(np.abs(evolved - expected)) < 1e-12
 
@@ -334,9 +333,12 @@ def test_evolve_state_budget_violation():
 
 def test_shell_coupling_small_with_headroom():
     gen = squeezer_generator(0, 1)
-    u = exact_unitary(gen, 1e-3, ModeLayout(1, 14))
-    assert u.shell_coupling < 0.05
-    assert u.unitarity_residual < 1e-12
+    layout = ModeLayout(1, 14)
+    u = dense_propagator(gen, 1e-3, layout)
+    # Amplitude moved from interior states into the two boundary levels.
+    shell = oracle._shell_mask(layout)
+    assert np.linalg.norm(u[np.ix_(shell, ~shell)], ord=2) < 0.05
+    assert np.max(np.abs(np.linalg.norm(u, axis=0) - 1.0)) < 1e-12
 
 
 def test_generator_spec_validation():
@@ -347,7 +349,7 @@ def test_generator_spec_validation():
 
 
 def _stencil_reference(gen, state, keep_count, dtheta, dtheta2, richardson):
-    """psi1, rho1, rho2 from dense exact_unitary propagators at each stencil theta.
+    """psi1, rho1, rho2 from dense propagators at each stencil theta.
 
     The kept modes are the leading ``keep_count`` modes, so the reduced
     state is flat @ flat^dag with flat the vector reshaped kept x rest.
@@ -357,7 +359,7 @@ def _stencil_reference(gen, state, keep_count, dtheta, dtheta2, richardson):
     kept_dim = (layout.cutoff + 1) ** keep_count
 
     def psi(theta):
-        return exact_unitary(gen, theta, layout).matrix @ v0
+        return dense_propagator(gen, theta, layout) @ v0
 
     def rho(vec):
         flat = vec.reshape(kept_dim, -1)
@@ -542,7 +544,7 @@ def test_operator_built_once_per_generator_and_truncation(monkeypatch):
     first = qfi_fidelity_pure(gen, state)
     assert qfi_fidelity_pure(gen, state) == first
     derivative_states(gen, state).rho2
-    exact_unitary(gen, 0.1, layout)
+    dense_propagator(gen, 0.1, layout)
     assert builds == [(gen, layout)]
     qfi_fidelity_pure(gen, StateVector.from_occupation(ModeLayout(2, 8), [1, 1]))
     fresh = two_mode_squeezer_generator(0, 1, 2)

@@ -73,6 +73,9 @@ class GeneratorSpec:
     trace-shifted form for the Taylor sweep (``_Operator``), is built on
     first use and kept on the instance, keyed by (mode_count, cutoff), so
     every oracle call of one command on one truncation shares one build.
+    The build gathers this instance's coefficients into index arrays that
+    every generator with the same nonzero pattern on that layout shares
+    (``_Template``), so a fresh instance does no index arithmetic.
     ``h`` and ``g`` are read-only copies made here, so a kept operator
     cannot go stale.
     """
@@ -155,47 +158,27 @@ def hamiltonian(gen: GeneratorSpec, layout: ModeLayout) -> scipy.sparse.csr_matr
     Entries come from occupation arithmetic on the lexicographic basis
     (``ModeLayout.ranks_of``): a hop from mode n to mode m moves the basis
     index by stride[m] - stride[n], a pair creation on modes (p, q) by
-    stride[p] + stride[q].  Couplings past the cutoff drop.
+    stride[p] + stride[q].  Couplings past the cutoff drop.  That
+    arithmetic depends only on the layout and on which coefficients are
+    nonzero, so it is done once per layout and nonzero pattern
+    (``_template``).  Each generator then costs one multiply of its
+    coefficients by the ladder amplitudes, one gather into CSR order and
+    the sums on the diagonal, and gives the bytes that a COO build and
+    scipy's conversion to CSR give.
     """
     if gen.mode_count != layout.mode_count:
         raise ValueError("generator and layout have different mode counts")
-    cutoff = layout.cutoff
-    occ = _occupations(layout)
-    stride = _place_values(cutoff, layout.mode_count)
-    rows = [np.zeros(0, dtype=np.intp)]
-    cols = [np.zeros(0, dtype=np.intp)]
-    vals = [np.zeros(0, dtype=np.complex128)]
-    for m, n in zip(*np.nonzero(gen.h)):
-        if m == n:
-            src = np.flatnonzero(occ[n])
-            rows.append(src)
-            amplitude = occ[n, src]
-        else:
-            src = np.flatnonzero((occ[n] > 0) & (occ[m] < cutoff))
-            rows.append(src + stride[m] - stride[n])
-            amplitude = np.sqrt(occ[n, src] * (occ[m, src] + 1.0))
-        cols.append(src)
-        vals.append(gen.h[m, n] * amplitude)
-    # (1/2) sum_pq g_pq adag_p adag_q collapses to g_pq per unordered pair
-    # (g symmetric) and g_pp / 2 on the diagonal; the Hermitian conjugate
-    # entries are the pair-annihilation block.
-    for p, q in zip(*np.nonzero(np.triu(gen.g))):
-        if p == q:
-            src = np.flatnonzero(occ[p] + 2 <= cutoff)
-            amplitude = 0.5 * np.sqrt((occ[p, src] + 1.0) * (occ[p, src] + 2.0))
-        else:
-            src = np.flatnonzero((occ[p] < cutoff) & (occ[q] < cutoff))
-            amplitude = np.sqrt((occ[p, src] + 1.0) * (occ[q, src] + 1.0))
-        target = src + stride[p] + stride[q]
-        value = gen.g[p, q] * amplitude
-        rows += [target, src]
-        cols += [src, target]
-        vals += [value, value.conj()]
+    t = _template_of(gen, layout)
+    coefficients = np.concatenate((gen.h.take(t.h_entries), gen.g.take(t.g_entries)))
+    products = np.repeat(coefficients, t.block_sizes) * t.amplitude
+    terms = np.concatenate((products, np.conjugate(products[t.pair_start :]))).take(t.order)
+    data = terms[: t.indices.size]
+    start = data.size
+    for entries in t.duplicates:
+        data[entries] += terms[start : start + entries.size]
+        start += entries.size
     dim = layout.basis_size
-    return scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
+    return scipy.sparse.csr_matrix((data, t.indices.copy(), t.indptr.copy()), shape=(dim, dim))
 
 
 def _occupations(layout: ModeLayout) -> np.ndarray:
@@ -204,13 +187,185 @@ def _occupations(layout: ModeLayout) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class _Template:
+    """Where each coefficient of H lands on one layout, for one nonzero pattern.
+
+    The coefficients are the entries of h at the flat indices ``h_entries``
+    and of triu(g) at ``g_entries``.  Coefficient k multiplies the next
+    ``block_sizes[k]`` ladder ``amplitude`` values: these products are the
+    terms of H, followed by the conjugates of the pair-creation products
+    (from ``pair_start`` on), which are the pair-annihilation terms.
+    ``order`` gathers the terms into the order in which scipy's COO to CSR
+    conversion sums them: first the leading term of each CSR entry
+    (``indices``, ``indptr``), then, for k = 1, 2, ..., the k-th further
+    term of each entry listed in ``duplicates[k - 1]``.  Only diagonal
+    entries have more than one term.
+
+    ``diagonal`` holds the positions of H's diagonal entries.
+    ``union_indices`` and ``union_indptr`` are the pattern of A - mu I: A's
+    entries (where ``union_from`` is set) and one diagonal entry per row
+    (at ``union_diagonal``).  Every array is read-only.
+    """
+
+    h_entries: np.ndarray
+    g_entries: np.ndarray
+    block_sizes: np.ndarray
+    amplitude: np.ndarray
+    pair_start: int
+    order: np.ndarray
+    duplicates: tuple[np.ndarray, ...]
+    indices: np.ndarray
+    indptr: np.ndarray
+    diagonal: np.ndarray
+    union_indices: np.ndarray
+    union_indptr: np.ndarray
+    union_from: np.ndarray
+    union_diagonal: np.ndarray
+
+
+def _template_of(gen: GeneratorSpec, layout: ModeLayout) -> _Template:
+    """The cached ``_Template`` of ``gen``'s nonzero pattern on ``layout``."""
+    h_entries = tuple(np.flatnonzero(gen.h).tolist())
+    g_entries = tuple(np.flatnonzero(np.triu(gen.g)).tolist())
+    return _template(layout, h_entries, g_entries)
+
+
+@functools.cache
+def _template(layout: ModeLayout, h_entries: tuple, g_entries: tuple) -> _Template:
+    """The ``_Template`` of ``layout`` for coefficients at these flat indices of h, triu(g).
+
+    Built at the first operator of each layout and pattern and kept for the
+    life of the process: one per pattern a process meets, each about 22
+    bytes per nonzero of H.
+    """
+    dim = layout.basis_size
+    amplitude, sizes, rows, cols, term = _coo_terms(layout, h_entries, g_entries)
+    rows, cols, term = _csr_sorted(rows, cols, term, dim)
+    # Each CSR entry starts where (row, col) changes; its terms follow it.
+    first = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
+    counts = np.diff(first, append=rows.size)
+    duplicates = [np.flatnonzero(counts > k) for k in range(1, counts.max(initial=1))]
+    entry_rows, indices = rows[first], cols[first]
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(entry_rows, minlength=dim), out=indptr[1:])
+    diagonal = np.flatnonzero(entry_rows == indices)
+    # A - mu I has a diagonal entry in every row: insert those A lacks.
+    has_diagonal = np.zeros(dim, dtype=bool)
+    has_diagonal[entry_rows[diagonal]] = True
+    missing = np.flatnonzero(~has_diagonal) * (dim + 1)
+    entry_keys = entry_rows.astype(np.int64) * dim + indices
+    at = np.searchsorted(entry_keys, missing)
+    union_keys = np.insert(entry_keys, at, missing)
+    union_from = np.ones(union_keys.size, dtype=bool)
+    union_from[at + np.arange(at.size)] = False
+    union_indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(union_keys // dim, minlength=dim), out=union_indptr[1:])
+    template = _Template(
+        h_entries=np.array(h_entries, dtype=np.intp),
+        g_entries=np.array(g_entries, dtype=np.intp),
+        block_sizes=np.array(sizes, dtype=np.intp),
+        amplitude=amplitude,
+        pair_start=sum(sizes[: len(h_entries)]),
+        # Leading terms first, then for k = 1, 2, ... the k-th further term
+        # of each entry that has one.
+        order=np.concatenate(
+            [term[first], *(term[first[e] + k] for k, e in enumerate(duplicates, start=1))]
+        ),
+        duplicates=tuple(e.astype(np.int32) for e in duplicates),
+        indices=indices,
+        indptr=indptr,
+        diagonal=diagonal.astype(np.int32),
+        union_indices=(union_keys % dim).astype(np.int32),
+        union_indptr=union_indptr,
+        union_from=union_from,
+        union_diagonal=np.searchsorted(union_keys, np.arange(dim) * (dim + 1)).astype(np.int32),
+    )
+    for value in vars(template).values():
+        for array in value if isinstance(value, tuple) else (value,):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+    return template
+
+
+def _coo_terms(layout: ModeLayout, h_entries: tuple, g_entries: tuple):
+    """Amplitudes, block sizes and the int32 rows, cols and term of H's COO build.
+
+    The COO order is one block per h coefficient, then per pair
+    coefficient its creation block and the transpose, its annihilation
+    block.  ``term`` numbers each COO entry's term: the products of each
+    coefficient with its block's amplitudes, then the conjugates of the
+    pair-creation products.
+    """
+    modes, cutoff = layout.mode_count, layout.cutoff
+    occ = _occupations(layout)
+    stride = _place_values(cutoff, modes)
+    # One (target rows, source columns, amplitudes) block per coefficient.
+    blocks = []
+    for flat in h_entries:
+        m, n = divmod(flat, modes)
+        if m == n:
+            src = np.flatnonzero(occ[n]).astype(np.int32)
+            blocks.append((src, src, occ[n, src].astype(np.float64)))
+        else:
+            src = np.flatnonzero((occ[n] > 0) & (occ[m] < cutoff)).astype(np.int32)
+            amplitude = np.sqrt(occ[n, src] * (occ[m, src] + 1.0))
+            blocks.append((src + int(stride[m] - stride[n]), src, amplitude))
+    # (1/2) sum_pq g_pq adag_p adag_q collapses to g_pq per unordered pair
+    # (g symmetric) and g_pp / 2 on the diagonal; the Hermitian conjugate
+    # entries are the pair-annihilation block.
+    for flat in g_entries:
+        p, q = divmod(flat, modes)
+        if p == q:
+            src = np.flatnonzero(occ[p] + 2 <= cutoff).astype(np.int32)
+            amplitude = 0.5 * np.sqrt((occ[p, src] + 1.0) * (occ[p, src] + 2.0))
+        else:
+            src = np.flatnonzero((occ[p] < cutoff) & (occ[q] < cutoff)).astype(np.int32)
+            amplitude = np.sqrt((occ[p, src] + 1.0) * (occ[q, src] + 1.0))
+        blocks.append((src + int(stride[p] + stride[q]), src, amplitude))
+    amplitude = np.concatenate([np.zeros(0), *(block[2] for block in blocks)])
+    sizes = [block[1].size for block in blocks]
+    conjugates = amplitude.size - sum(sizes[: len(h_entries)])
+    starts = np.cumsum([0] + sizes)
+    coo = []
+    for k, (target, src, _) in enumerate(blocks):
+        term = np.arange(starts[k], starts[k + 1], dtype=np.int32)
+        coo.append((target, src, term))
+        if k >= len(h_entries):
+            coo.append((src, target, term + conjugates))
+    rows, cols, term = (
+        np.concatenate([np.zeros(0, np.int32), *(part[i] for part in coo)]) for i in range(3)
+    )
+    return amplitude, sizes, rows, cols, term
+
+
+def _csr_sorted(rows: np.ndarray, cols: np.ndarray, term: np.ndarray, dim: int):
+    """``rows``, ``cols`` and ``term`` in the order scipy's COO to CSR conversion gives.
+
+    The conversion buckets the entries by row, keeping their order, then
+    sorts each row by column with an unstable sort and sums equal
+    neighbours left to right.  Sorting labels the same way gives the
+    order in which it adds each diagonal's terms.
+    """
+    order = np.argsort(rows, kind="stable")
+    row_starts = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=dim), out=row_starts[1:])
+    labels = scipy.sparse.csr_matrix(
+        (np.arange(order.size, dtype=np.int32), cols[order], row_starts), shape=(dim, dim)
+    )
+    labels.sort_indices()
+    order = order[labels.data]
+    return rows[order], cols[order], term[order]
+
+
+@dataclass(frozen=True, eq=False)
 class _Operator:
     """-iH on one truncation, prepared once for every sweep over it.
 
     ``shifted`` is A - mu I with mu = tr(A) / n, the shift that Al-Mohy &
-    Higham apply before their Taylor sums, built as ``expm_multiply``
-    builds it so that each product adds in the same order.  ``norm`` and
-    ``shifted_norm`` are the exact 1-norms of A and of A - mu I.
+    Higham apply before their Taylor sums, with the entries and bits of
+    the scipy subtraction that ``expm_multiply`` makes, so that each
+    product adds in the same order.  ``norm`` and ``shifted_norm`` are the
+    exact 1-norms of A and of A - mu I.
     """
 
     matrix: scipy.sparse.csr_matrix
@@ -221,22 +376,43 @@ class _Operator:
 
 
 def _prepared(gen: GeneratorSpec, layout: ModeLayout) -> _Operator:
-    """-iH on ``layout`` with its shift, built once per generator and truncation."""
+    """-iH on ``layout`` with its shift, built once per generator and truncation.
+
+    H comes from ``hamiltonian``, and the shift from the layout's
+    ``_Template``: mu is the mean of the zero-filled diagonal, as
+    ``A.trace()`` sums it, and A - mu I fills the template's union pattern
+    and drops exact zeros, as scipy's subtraction does (so for mu = 0 and
+    no diagonal it is A).  Each 1-norm is the largest column sum of
+    absolute values, added in row order.
+    """
     key = (layout.mode_count, layout.cutoff)
     cached = gen._operators.get(key)
     if cached is None:
         A = -1j * hamiltonian(gen, layout)
+        t = _template_of(gen, layout)
         n = A.shape[0]
-        mu = A.trace() / float(n)
-        shifted = A - mu * scipy.sparse.eye(n, n, dtype=A.dtype).asformat(A.format)
-        cached = gen._operators[key] = _Operator(
-            A, _one_norm(A), mu, shifted, _one_norm(shifted)
+        trace = np.zeros(n, dtype=np.complex128)
+        trace[t.indices[t.diagonal]] += A.data[t.diagonal]
+        mu = trace.sum() / float(n)
+        union = np.zeros(t.union_indices.size, dtype=np.complex128)
+        union[t.union_from] = A.data
+        # mu I holds 1 * mu, whose zeros may carry other signs than mu's.
+        union[t.union_diagonal] -= np.ones(1, dtype=np.complex128) * mu
+        zeros = np.flatnonzero(union == 0)
+        shifted = scipy.sparse.csr_matrix(
+            (
+                np.delete(union, zeros),
+                np.delete(t.union_indices, zeros),
+                t.union_indptr - np.searchsorted(zeros, t.union_indptr).astype(np.int32),
+            ),
+            shape=(n, n),
         )
+        norm, shifted_norm = (
+            float(np.bincount(M.indices, weights=np.abs(M.data), minlength=n).max())
+            for M in (A, shifted)
+        )
+        cached = gen._operators[key] = _Operator(A, norm, mu, shifted, shifted_norm)
     return cached
-
-
-def _one_norm(A: scipy.sparse.csr_matrix) -> float:
-    return float(abs(A).sum(axis=0).max())
 
 
 @functools.cache

@@ -32,6 +32,7 @@ from bogofisher import (
     StateVector,
     oracle,
 )
+from bogofisher.fock import _place_values
 
 
 def run_python(args: list[str], extra_env: dict[str, str] | None = None) -> tuple[int, str, str]:
@@ -93,6 +94,58 @@ def dense_hamiltonian_matrix(gen: GeneratorSpec, layout: ModeLayout) -> np.ndarr
             create = 0.5 * gen.g[m, n] * ladders[m].conj().T @ ladders[n].conj().T
             H += create + create.conj().T
     return H.toarray()
+
+
+def coo_hamiltonian(gen: GeneratorSpec, layout: ModeLayout):
+    """(H, -iH prepared) by a COO build and scipy arithmetic: the template's reference.
+
+    H is assembled term by term as COO and converted to CSR, which sums
+    each diagonal's terms; the operator takes mu from ``A.trace()``, A - mu I
+    from a scipy subtraction and both 1-norms from column sums.  The oracle
+    must reproduce every byte of it (``tests/test_oracle.py``).
+    """
+    cutoff = layout.cutoff
+    occ = oracle._occupations(layout)
+    stride = _place_values(cutoff, layout.mode_count)
+    rows = [np.zeros(0, dtype=np.intp)]
+    cols = [np.zeros(0, dtype=np.intp)]
+    vals = [np.zeros(0, dtype=np.complex128)]
+    for m, n in zip(*np.nonzero(gen.h)):
+        if m == n:
+            src = np.flatnonzero(occ[n])
+            rows.append(src)
+            amplitude = occ[n, src]
+        else:
+            src = np.flatnonzero((occ[n] > 0) & (occ[m] < cutoff))
+            rows.append(src + stride[m] - stride[n])
+            amplitude = np.sqrt(occ[n, src] * (occ[m, src] + 1.0))
+        cols.append(src)
+        vals.append(gen.h[m, n] * amplitude)
+    for p, q in zip(*np.nonzero(np.triu(gen.g))):
+        if p == q:
+            src = np.flatnonzero(occ[p] + 2 <= cutoff)
+            amplitude = 0.5 * np.sqrt((occ[p, src] + 1.0) * (occ[p, src] + 2.0))
+        else:
+            src = np.flatnonzero((occ[p] < cutoff) & (occ[q] < cutoff))
+            amplitude = np.sqrt((occ[p, src] + 1.0) * (occ[q, src] + 1.0))
+        target = src + stride[p] + stride[q]
+        value = gen.g[p, q] * amplitude
+        rows += [target, src]
+        cols += [src, target]
+        vals += [value, value.conj()]
+    dim = layout.basis_size
+    H = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    ).tocsr()
+    A = -1j * H
+    mu = A.trace() / float(dim)
+    shifted = A - mu * scipy.sparse.eye(dim, dim, dtype=A.dtype).asformat(A.format)
+
+    def one_norm(matrix) -> float:
+        return float(abs(matrix).sum(axis=0).max())
+
+    return H, oracle._Operator(A, one_norm(A), mu, shifted, one_norm(shifted))
 
 
 def dense_propagator(gen: GeneratorSpec, theta: float, layout: ModeLayout) -> np.ndarray:

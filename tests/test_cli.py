@@ -733,15 +733,33 @@ def _huge_model(value):
     return {"modes": 2, "alpha1": [[0, 1, value, 0.0], [1, 0, -value, 0.0]]}
 
 
-@pytest.mark.parametrize("value", [1e154, 1e308])
-@pytest.mark.parametrize("command", ["qfi", "oracle-compare"])
+# At 1e307 each mode's diagonal term of H fits in a float and their sum on a
+# basis state does not: it overflows while the oracle operator is built,
+# before any scan point.
+def _huge_diagonal(value):
+    return {"modes": 3, "alpha1": [[k, k, 0.0, value] for k in range(3)]}
+
+
+_SCAN_ARGS = ["--n", "0..2", "--pair-with", "1"]
+
+
+@pytest.mark.parametrize(
+    "command, value",
+    [("oracle-compare", 1e154), ("oracle-compare", 1e308), ("qfi", 1e154), ("qfi", 1e308),
+     ("scan", 1e307)],
+)
 def test_overflowing_model_fresh_process_exits_three(command, value, tmp_path):
     # numpy's overflow warning would reach stderr here; tier-1 turns it into
     # an exception inside pytest, so only a fresh process shows the leak.
-    model = write_json(tmp_path / "model.json", _huge_model(value))
     state = write_json(tmp_path / "s11.json", [{"occ": [1, 1], "re": 1.0}])
+    if command == "scan":
+        model = write_json(tmp_path / "model.json", _huge_diagonal(value))
+        argv = [command, model, *_SCAN_ARGS]
+    else:
+        model = write_json(tmp_path / "model.json", _huge_model(value))
+        argv = [command, model, "--state", state]
     assert _fresh_process(["validate", model])[0] == 0
-    code, out, err = _fresh_process([command, model, "--state", state])
+    code, out, err = _fresh_process(argv)
     assert (code, out) == (3, "")
     assert "Warning" not in err
     assert _single_error_line(err)["error"] == "NumericalBreakdownError"
@@ -755,15 +773,19 @@ def test_overflowing_model_fresh_process_exits_three(command, value, tmp_path):
         ["qfi", "M", "--state", "S22", "--keep", "0"],
         ["qfi", "M", "--state", "MIXED"],
         ["oracle-compare", "M", "--state", "MIXED"],
-        ["scan", "M", "--n", "0..2", "--pair-with", "1"],
+        ["scan", "M", *_SCAN_ARGS],
+        ["scan", "DIAGONAL", *_SCAN_ARGS],
         ["named", "M", "--n", "2"],
         ["optimize", "M", "--support", "SUPPORT", "--avg-n", "3", "--restarts", "2"],
     ],
-    ids=["qfi", "qfi-keep", "qfi-superposition", "oracle-compare", "scan", "named", "optimize"],
+    ids=["qfi", "qfi-keep", "qfi-superposition", "oracle-compare", "scan", "scan-diagonal",
+         "named", "optimize"],
 )
 def test_overflowing_model_exits_three(argv, value, tmp_path, capsys):
     files = {
         "M": write_json(tmp_path / "model.json", _huge_model(value)),
+        # Not scaled by value: at 1e307 only the sum over modes overflows.
+        "DIAGONAL": write_json(tmp_path / "diagonal.json", _huge_diagonal(1e307)),
         "S22": write_json(tmp_path / "s22.json", [{"occ": [2, 2], "re": 1.0}]),
         "MIXED": write_json(
             tmp_path / "mixed.json", [{"occ": [1, 1], "re": 0.6}, {"occ": [2, 0], "im": 0.8}]

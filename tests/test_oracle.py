@@ -37,6 +37,7 @@ from bogofisher import oracle
 from bogofisher.cli import cli_main
 
 from helpers import (
+    coo_hamiltonian,
     dense_hamiltonian_matrix,
     dense_propagator,
     extract_bogoliubov,
@@ -63,6 +64,61 @@ def test_hamiltonian_matches_kron_ladders():
             gen = random_generator(rng, modes, 0.7)
             H = hamiltonian(gen, layout).toarray()
             assert np.max(np.abs(H - dense_hamiltonian_matrix(gen, layout))) < 1e-12
+
+
+def _assert_matches_coo_reference(gen, layout):
+    """``hamiltonian`` and every ``_Operator`` field equal the COO build byte for byte."""
+    ref_H, ref = coo_hamiltonian(gen, layout)
+    op = oracle._prepared(gen, layout)
+    pairs = [(hamiltonian(gen, layout), ref_H), (op.matrix, ref.matrix), (op.shifted, ref.shifted)]
+    for got, want in pairs:
+        assert got.format == want.format == "csr"
+        for name in ("indptr", "indices", "data"):
+            got_array, want_array = getattr(got, name), getattr(want, name)
+            assert got_array.dtype == want_array.dtype, name
+            assert got_array.tobytes() == want_array.tobytes(), name
+    assert op.norm == ref.norm
+    assert op.shifted_norm == ref.shifted_norm
+    assert np.complex128(op.mu).tobytes() == np.complex128(ref.mu).tobytes()
+
+
+def test_operator_matches_coo_build_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for _ in range(60):
+        modes = int(rng.integers(2, 5))
+        layout = ModeLayout(modes, int(rng.integers(4, 9)))
+        _assert_matches_coo_reference(random_generator(rng, modes, 0.7), layout)
+    layout = ModeLayout(3, 6)
+    zero = np.zeros((3, 3))
+    for gen in (
+        beam_splitter_generator(0, 1, 3),  # no diagonal, so mu = 0
+        squeezer_generator(1, 3),
+        two_mode_squeezer_generator(0, 2, 3),
+        GeneratorSpec(np.diag([0.3, -1.1, 0.0]), zero),  # diagonal only
+        GeneratorSpec(zero, zero),
+    ):
+        _assert_matches_coo_reference(gen, layout)
+
+
+def test_template_shared_per_layout_and_nonzero_pattern():
+    rng = np.random.default_rng(19)
+    layout = ModeLayout(3, 5)
+    first, second = (random_generator(rng, 3, 0.7) for _ in range(2))
+    oracle._prepared(first, layout)
+    before = oracle._template.cache_info()
+    _assert_matches_coo_reference(second, layout)
+    after = oracle._template.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    assert after.hits > before.hits
+    assert oracle._template_of(second, layout) is oracle._template_of(first, layout)
+    # Exact zeros in h and g give a second pattern on the same layout.
+    h, g = first.h.copy(), first.g.copy()
+    h[0, 2] = h[2, 0] = h[1, 1] = 0.0
+    g[0, 1] = g[1, 0] = g[2, 2] = 0.0
+    sparse = GeneratorSpec(h, g)
+    _assert_matches_coo_reference(sparse, layout)
+    assert oracle._template_of(sparse, layout) is not oracle._template_of(first, layout)
+    assert oracle._template.cache_info().misses == before.misses + 1
 
 
 def test_exact_unitary_group_property():

@@ -91,8 +91,7 @@ def scan_fock(
 
     Single-mode scans evaluate |n_k>; with ``kprime`` given they evaluate
     |n_k>|m_k'> over the diagonal m = n (default) or the full n x m grid
-    when ``m_values`` is supplied.  The oracle route requires a model
-    with trivial phases.
+    when ``m_values`` is supplied.
     """
     from .oracle import _prepared, generator_from_model, qfi_fidelity_pure
 

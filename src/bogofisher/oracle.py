@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse
 
 from .bogoliubov import BogoliubovFirstOrder
-from .errors import BudgetError, ModelFormatError
+from .errors import BudgetError
 from .fock import (
     DensityOperator,
     ModeLayout,
@@ -88,6 +88,10 @@ class GeneratorSpec:
         g = np.array(self.g, dtype=np.complex128)
         if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape != g.shape:
             raise ValueError("h and g must be square matrices of equal dimension")
+        # First: a NaN residual or an inf scale would pass the checks below.
+        for name, block in (("h", h), ("g", g)):
+            if not np.isfinite(block).all():
+                raise ValueError(f"{name} block must be finite")
         scale_h = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
         if float(np.max(np.abs(h - h.conj().T))) > _HERMITIAN_TOL * scale_h:
             raise ValueError("h block must be Hermitian")
@@ -138,17 +142,13 @@ def independent_squeezers_generator(strengths) -> GeneratorSpec:
 
 
 def generator_from_model(model: BogoliubovFirstOrder) -> GeneratorSpec:
-    """Quadratic Hamiltonian whose propagator realizes a trivial-phase model.
+    """H = iK, the oracle's generator for every validated model.
 
-    Only models with G identically 1 admit a single-generator propagator
-    (U(0) must be the identity); then H = iK with K the first-order
-    generator of the perturbative module.
+    The first-order route models U(theta) = U0 exp(theta K) with the
+    theta-independent free evolution U0 = prod_n G_n^(n_n), which changes
+    neither the pure nor any reduced QFI.
     """
     K = build_generator(model)  # validates the model
-    if float(np.max(np.abs(model.G - 1.0))) > 1e-9:
-        raise ModelFormatError(
-            "oracle generator requires trivial free-evolution phases (G = 1)"
-        )
     return GeneratorSpec(1j * K.number, 1j * K.pair_create)
 
 
@@ -624,7 +624,7 @@ def _richardson(coarse: float, fine: float, dtheta: float) -> FidelityEstimate:
 
     ``coarse`` and ``fine`` are its values at dtheta and dtheta / 2.
     """
-    value = _extrapolate(coarse, fine, richardson=True)
+    value = _extrapolate(coarse, fine)
     error = abs(fine - coarse) / 3.0 + 64.0 * np.finfo(float).eps / dtheta**2
     return FidelityEstimate(max(value, 0.0), error)
 
@@ -755,7 +755,6 @@ def derivative_states(
     dtheta: float = DEFAULT_DTHETA_FIRST,
     dtheta2: float = DEFAULT_DTHETA_SECOND,
     keep: ModeSubset | None = None,
-    richardson: bool = True,
 ) -> DerivativeStates:
     """Central-difference psi1 plus the reduced-state corrections rho1, rho2.
 
@@ -779,40 +778,38 @@ def derivative_states(
         return [_reduced_dense(vec, layout, keep) for vec in vectors]
 
     def rho1() -> DensityOperator:
-        rho = _first_difference(reduced(psi), dtheta, richardson)
+        rho = _first_difference(reduced(psi), dtheta)
         return DensityOperator(sub_layout, _hermitize(rho))
 
     def rho2() -> DensityOperator:
         rho_h = reduced(sweep(-dtheta2, dtheta2, 5)[_OFF_CENTER])
         rho_0 = _reduced_dense(v0, layout, keep)
-        rho = _second_difference(rho_h, rho_0, dtheta2, richardson)
+        rho = _second_difference(rho_h, rho_0, dtheta2)
         return DensityOperator(sub_layout, _hermitize(rho))
 
-    psi1 = _first_difference(psi, dtheta, richardson)
+    psi1 = _first_difference(psi, dtheta)
     return DerivativeStates(StateVector.from_dense(layout, psi1), rho1, rho2)
 
 
-def _first_difference(f, h: float, richardson: bool) -> np.ndarray:
+def _first_difference(f, h: float) -> np.ndarray:
     """f'(0) from f = (f(-h), f(-h/2), f(h/2), f(h))."""
     minus_h, minus_half, plus_half, plus_h = f
     coarse = (plus_h - minus_h) / (2.0 * h)
     fine = (plus_half - minus_half) / h
-    return _extrapolate(coarse, fine, richardson)
+    return _extrapolate(coarse, fine)
 
 
-def _second_difference(f, f0: np.ndarray, h: float, richardson: bool) -> np.ndarray:
+def _second_difference(f, f0: np.ndarray, h: float) -> np.ndarray:
     """f''(0) / 2 from f = (f(-h), f(-h/2), f(h/2), f(h)) and f0 = f(0)."""
     minus_h, minus_half, plus_half, plus_h = f
     half = h / 2.0
     coarse = (plus_h - 2.0 * f0 + minus_h) / (2.0 * h * h)
     fine = (plus_half - 2.0 * f0 + minus_half) / (2.0 * half * half)
-    return _extrapolate(coarse, fine, richardson)
+    return _extrapolate(coarse, fine)
 
 
-def _extrapolate(coarse: np.ndarray, fine: np.ndarray, richardson: bool) -> np.ndarray:
-    """Richardson combination of estimates at steps h and h/2 (or ``coarse``)."""
-    if not richardson:
-        return coarse
+def _extrapolate(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """Richardson combination of estimates at steps h and h/2."""
     return (4.0 * fine - coarse) / 3.0
 
 

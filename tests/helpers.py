@@ -166,13 +166,21 @@ def extract_bogoliubov(gen: GeneratorSpec, theta: float) -> tuple[np.ndarray, np
     return E[:M, :M].conj(), -E[:M, M:].conj()
 
 
-def extract_first_order(gen: GeneratorSpec, dtheta: float = 1e-5) -> BogoliubovFirstOrder:
-    """First-order coefficient model by central differencing at theta = 0."""
+def extract_first_order(
+    gen: GeneratorSpec, dtheta: float = 1e-5, G: np.ndarray | None = None
+) -> BogoliubovFirstOrder:
+    """First-order coefficient model of U0 exp(-i theta H) by central differencing.
+
+    U0 = prod_n G_n^(n_n) is the free evolution, the identity when ``G`` is
+    omitted.  The coefficients of exp(-i theta H) alone, alpha1' and beta1',
+    give the model (G, alpha1' diag(G), beta1' diag(conj G)).
+    """
     alpha_p, beta_p = extract_bogoliubov(gen, dtheta)
     alpha_m, beta_m = extract_bogoliubov(gen, -dtheta)
     alpha1 = (alpha_p - alpha_m) / (2.0 * dtheta)
     beta1 = (beta_p - beta_m) / (2.0 * dtheta)
-    return BogoliubovFirstOrder(np.ones(gen.mode_count), alpha1, beta1)
+    G = np.ones(gen.mode_count) if G is None else np.asarray(G, dtype=np.complex128)
+    return BogoliubovFirstOrder(G, alpha1 * G, beta1 * G.conj())
 
 
 def random_generator(rng: np.random.Generator, modes: int, scale: float) -> GeneratorSpec:

@@ -10,7 +10,7 @@ import bogofisher
 from bogofisher import oracle
 from bogofisher.cli import cli_main
 
-from helpers import random_model, run_python
+from helpers import random_model, rephased, run_python
 
 
 def write_json(path, payload):
@@ -284,6 +284,34 @@ def test_oracle_compare(tms_doc, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["agree"] is True
     assert payload["qfi_perturb"] == pytest.approx(20.0, abs=1e-9)
+    assert payload["psi1_distance"] < 1e-6
+
+
+def test_every_command_runs_a_model_with_free_evolution_phases(tmp_path, capsys):
+    # validate is the one gate: a model with G != 1 that it passes reaches
+    # every command, exact propagation included.
+    rng = np.random.default_rng(19)
+    model = rephased(random_model(rng, 3), rng.uniform(0.0, 2.0 * np.pi, 3))
+    doc = write_json(tmp_path / "phased.json", bogofisher.serialize_model(model))
+    state = write_json(
+        tmp_path / "state.json",
+        [{"occ": [1, 1, 0], "re": 0.6}, {"occ": [0, 2, 0], "im": 0.8}],
+    )
+    support = write_json(tmp_path / "support.json", [[1, 0, 0], [1, 1, 0], [2, 0, 0], [0, 2, 0]])
+    runs = [
+        ["validate", doc],
+        ["qfi", doc, "--state", state],
+        ["qfi", doc, "--state", state, "--keep", "0,1"],
+        ["scan", doc, "--n", "0..1", "--pair-with", "1"],
+        ["named", doc, "--n", "2"],
+        ["optimize", doc, "--support", support, "--avg-n", "1.5"],
+    ]
+    for argv in runs:
+        assert cli_main(argv) == 0, argv
+    capsys.readouterr()
+    assert cli_main(["oracle-compare", doc, "--state", state]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["agree"] is True
     assert payload["psi1_distance"] < 1e-6
 
 

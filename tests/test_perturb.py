@@ -26,6 +26,7 @@ from bogofisher import (
     two_mode_squeezer,
     validity_check,
 )
+from bogofisher.perturb import _rephased
 
 from helpers import (
     dense_generator_matrix,
@@ -155,23 +156,24 @@ def test_oracle_equivalence_builtin_models():
     for model, occ in cases:
         state = StateVector.from_occupation(layout2, occ)
         pair = transform_first_order(model, state)
-        numeric = derivative_states(
-            generator_from_model(model), state, dtheta=1e-4, richardson=False
-        )
+        numeric = derivative_states(generator_from_model(model), state, dtheta=1e-4)
         assert state_distance(pair.psi1, numeric.psi1) < 5e-7
 
 
 def test_oracle_equivalence_random_models():
+    # The oracle propagates exp(theta K), so its psi1 is K psi; the
+    # first-order psi1 is U0 K psi, with U0 the identity when G = 1.
     rng = np.random.default_rng(34)
+    phase_rng = np.random.default_rng(134)
     layout = ModeLayout(3, 9)
     for _ in range(3):
         model = random_model(rng, 3)
         state = random_state(rng, layout, terms=3, max_occ=3)
-        pair = transform_first_order(model, state)
-        numeric = derivative_states(
-            generator_from_model(model), state, dtheta=1e-4, richardson=False
-        )
-        assert state_distance(pair.psi1, numeric.psi1) < 5e-7
+        for phased in (model, rephased(model, phase_rng.uniform(-np.pi, np.pi, 3))):
+            pair = transform_first_order(phased, state)
+            numeric = derivative_states(generator_from_model(phased), state, dtheta=1e-4)
+            (expected,) = _rephased(phased, [numeric.psi1])
+            assert state_distance(pair.psi1, expected) < 5e-7
 
 
 def test_linearity():

@@ -320,13 +320,18 @@ def _unique_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``np.unique(values, return_inverse=True)`` without its fixed overhead,
     which dominates on the few-term states of scans and the optimizer.
+    One sort: the slot of each sorted entry is the number of runs of
+    equal values that start at or before it, less one, scattered back
+    through the sort order.
     """
-    ordered = np.sort(values)
+    order = np.argsort(values)
+    ordered = values[order]
     first = np.empty(ordered.size, dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    return distinct, np.searchsorted(distinct, values)
+    slots = np.empty(ordered.size, dtype=np.intp)
+    slots[order] = np.cumsum(first) - 1
+    return ordered[first], slots
 
 
 def _sum_by(slots: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:

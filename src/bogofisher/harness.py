@@ -442,11 +442,13 @@ def _support_score(
     The first-order map is linear in the amplitudes c over ``support``:
     psi0 = P0 c and psi1 = M c, whose columns are the transforms of the
     support basis states and whose rows are the output occupations.  The
-    QFI is 4(|Mc|^2 - |w|^2) with w = <P0c|Mc>.  With ``keep`` the tracing
-    loss 4 sum_g |u_g|^2, u_g = sum_{r in g} conj((L c)_r) (Mc)_r, is
-    subtracted: g runs over the complement occupations of the rows other
-    than the reference, and row r of L picks the psi0 amplitude whose kept
-    part is that of r.
+    columns of P0 are unit vectors on the support's own rows, so P0 c is
+    a scatter of c and P0^dag a gather.  The QFI is 4(|Mc|^2 - |w|^2)
+    with w = <P0c|Mc>.  With ``keep`` the tracing loss 4 sum_g |u_g|^2,
+    u_g = sum_{r in g} conj((L c)_r) (Mc)_r, is subtracted: g runs over
+    the complement occupations of the rows other than the reference, and
+    row r of the 0/1 lift L picks the support state whose kept part is
+    that of r.
 
     ``score(c)`` returns the value; ``score(c, gradient=True)`` returns the
     value and the conjugate gradient d/d conj(c) of that expression:
@@ -459,49 +461,49 @@ def _support_score(
         keep.validate_for(layout)
         support_kept, support_comp = layout.subset_ranks(support_occ, keep)
         reference = _complement_reference(support_comp)
-    pairs = [
-        transform_first_order(model, StateVector.from_occupation(layout, occ))
+    psi1s = [
+        transform_first_order(model, StateVector.from_occupation(layout, occ)).psi1
         for occ in support
     ]
-    rows = np.unique(np.concatenate([s.ranks for p in pairs for s in (p.psi0, p.psi1)]))
-    p0 = np.zeros((rows.size, len(support)), dtype=np.complex128)
-    m1 = np.zeros_like(p0)
-    for j, pair in enumerate(pairs):
-        p0[np.searchsorted(rows, pair.psi0.ranks), j] = pair.psi0.amplitudes
-        m1[np.searchsorted(rows, pair.psi1.ranks), j] = pair.psi1.amplitudes
-    p0_adj, m1_adj = p0.conj().T.copy(), m1.conj().T.copy()
+    support_ranks = layout.ranks_of(support_occ)
+    rows = np.unique(np.concatenate([support_ranks, *(psi1.ranks for psi1 in psi1s)]))
+    own = np.searchsorted(rows, support_ranks)
+    m1 = np.zeros((rows.size, len(support)), dtype=np.complex128)
+    for j, psi1 in enumerate(psi1s):
+        m1[np.searchsorted(rows, psi1.ranks), j] = psi1.amplitudes
+    m1_adj = m1.conj().T.copy()
 
-    lift = gather = None
+    gather = None
     if keep is not None:
         row_kept, row_comp = layout.subset_ranks(layout.occupations_of(rows), keep)
         # The support shares one complement occupation, so a kept part
         # names at most one support state j.
         order = np.argsort(support_kept)
         pos, found = _lookup(support_kept[order], row_kept)
-        r = np.flatnonzero(found & (row_comp != reference))
-        j = order[pos[r]]
-        own_rows = np.searchsorted(rows, layout.ranks_of(support_occ))
-        own = p0[own_rows, np.arange(len(support))]  # psi0 amplitude of each j
-        lift = np.zeros_like(p0)
-        lift[r, j] = own[j]
-        lift_adj = lift.conj().T.copy()
+        # The nonzeros of L: row lift_rows[i] lifts support state lift_cols[i].
+        lift_rows = np.flatnonzero(found & (row_comp != reference))
+        lift_cols = order[pos[lift_rows]]
+        lift_adj = np.zeros((len(support), rows.size), dtype=np.complex128)
+        lift_adj[lift_cols, lift_rows] = 1.0
         groups = np.unique(row_comp[row_comp != reference])
         gather = np.zeros((groups.size, rows.size), dtype=np.complex128)
-        gather[np.searchsorted(groups, row_comp[r]), r] = 1.0
+        gather[np.searchsorted(groups, row_comp[lift_rows]), lift_rows] = 1.0
 
     def score(c: np.ndarray, gradient: bool = False):
-        psi0 = p0 @ c
+        psi0 = np.zeros(rows.size, dtype=np.complex128)
+        psi0[own] = c
         psi1 = m1 @ c
         overlap = np.vdot(psi0, psi1)
         value = _clamp_nonnegative(4.0 * (np.vdot(psi1, psi1).real - abs(overlap) ** 2))
         if gather is not None:
-            lifted = lift @ c
+            lifted = np.zeros_like(psi0)
+            lifted[lift_rows] = c[lift_cols]
             projected = gather @ (lifted.conj() * psi1)
             value -= 4.0 * np.vdot(projected, projected).real
         if not gradient:
             return value
         back = psi1 - overlap * psi0
-        grad = -overlap.conjugate() * (p0_adj @ psi1)
+        grad = -overlap.conjugate() * psi1[own]
         if gather is not None:
             spread = gather.T @ projected
             back -= spread * lifted

@@ -103,6 +103,10 @@ class GeneratorSpec:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "_operators", {})
+        # The key of this generator's ``_Template``: the flat indices of the
+        # nonzeros of h and of triu(g).
+        pattern = (np.flatnonzero(h).tolist(), np.flatnonzero(np.triu(g)).tolist())
+        object.__setattr__(self, "_pattern", tuple(map(tuple, pattern)))
 
     @property
     def mode_count(self) -> int:
@@ -225,9 +229,7 @@ class _Template:
 
 def _template_of(gen: GeneratorSpec, layout: ModeLayout) -> _Template:
     """The cached ``_Template`` of ``gen``'s nonzero pattern on ``layout``."""
-    h_entries = tuple(np.flatnonzero(gen.h).tolist())
-    g_entries = tuple(np.flatnonzero(np.triu(gen.g)).tolist())
-    return _template(layout, h_entries, g_entries)
+    return _template(layout, *gen._pattern)
 
 
 @functools.cache
@@ -661,7 +663,11 @@ def uhlmann_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     differencing, count as zero; genuinely negative operators are
     rejected.
     """
-    sqrt_a = _psd_sqrt(rho_a)
+    return _fidelity_from_root(_psd_sqrt(rho_a), rho_b)
+
+
+def _fidelity_from_root(sqrt_a: np.ndarray, rho_b: np.ndarray) -> float:
+    """``uhlmann_fidelity`` of rho_a and rho_b, given sqrt(rho_a)."""
     mid = sqrt_a @ rho_b @ sqrt_a
     eigs = np.linalg.eigvalsh(0.5 * (mid + mid.conj().T))
     return float(np.sum(np.sqrt(_psd_spectrum(eigs, "fidelity kernel"))) ** 2)
@@ -704,12 +710,12 @@ def qfi_fidelity_mixed(
         raise ValueError("input state must be normalized")
     keep.validate_for(state.layout)
     v0, sweep = _propagation(gen, state)
-    rho0 = _reduced_dense(v0, state.layout, keep)
+    sqrt_rho0 = _psd_sqrt(_reduced_dense(v0, state.layout, keep))
     minus_h, minus_half, plus_half, plus_h = sweep(-dtheta, dtheta, 5)[_OFF_CENTER]
 
     def one_sided(psi_h: np.ndarray, h: float) -> float:
         rho_h = _reduced_dense(psi_h, state.layout, keep)
-        fidelity = uhlmann_fidelity(rho0, rho_h)
+        fidelity = _fidelity_from_root(sqrt_rho0, rho_h)
         return 8.0 * (1.0 - math.sqrt(min(fidelity, 1.0))) / h**2
 
     def estimate(plus: np.ndarray, minus: np.ndarray, h: float) -> float:

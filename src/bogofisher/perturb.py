@@ -9,6 +9,13 @@ coefficients:
       + (1/2) sum_pq C_pq a_p^dag a_q^dag
       - (1/2) sum_pq conj(C_pq) a_p a_q,       C_pq = -conj(G_q) conj(beta1_pq).
 
+The route returns psi0 = psi and psi1 = K psi, with U0 applied to
+neither.  U0 does not depend on theta and is a product of single-mode
+phases, so it factors over every kept/complement cut: it cancels from
+<psi1|psi1> and <psi0|psi1>, and on each projection <psi0_k|<i|psi1> of
+the tracing loss it leaves a phase, which the modulus drops.  No QFI or
+tracing loss depends on it.
+
 Sign convention: the coefficient blocks are pinned so that K equals the
 theta-derivative of the exact propagator exp(-i theta H) of the matching
 quadratic Hamiltonian (see the oracle module).  With beta1_kk = 1 and
@@ -72,8 +79,10 @@ class GeneratorK:
 
 @dataclass(frozen=True, eq=False)
 class FirstOrderPair:
-    """Zeroth- and first-order transformed states.
+    """Zeroth- and first-order transformed states, without the free evolution.
 
+    psi0 is the input psi and psi1 is K psi; U0 is applied to neither,
+    because it changes no QFI or tracing loss (see the module docstring).
     psi0 is normalized; psi1 generally is not.  <psi0|psi1> is purely
     imaginary because K is anti-Hermitian.
     """
@@ -183,35 +192,10 @@ def apply_generator(gen: GeneratorK, state: StateVector) -> StateVector:
     return StateVector._from_ranks(layout, ranks, amps)
 
 
-def _rephased(
-    model: BogoliubovFirstOrder, states: list[StateVector]
-) -> list[StateVector]:
-    """The free evolution U0 of states on one layout, in one pass over the modes.
-
-    Each basis term is multiplied by prod_n G_n^occupation.
-    """
-    layout = states[0].layout
-    if model.mode_count != layout.mode_count:
-        raise ValueError("model and state have different mode counts")
-    ranks = np.concatenate([s.ranks for s in states])
-    factors = np.power(model.G, layout.occupations_of(ranks))
-    # G**0 = 1 multiplies exactly, so empty modes need not be skipped.
-    phase = factors[:, 0]
-    for column in factors.T[1:]:
-        phase = _cmul(phase, column)
-    amps = _cmul(np.concatenate([s.amplitudes for s in states]), phase)
-    out, start = [], 0
-    for s in states:
-        stop = start + len(s)
-        out.append(StateVector._from_ranks(layout, s.ranks, amps[start:stop]))
-        start = stop
-    return out
-
-
 def transform_first_order(
     model: BogoliubovFirstOrder, state: StateVector
 ) -> FirstOrderPair:
-    """Zeroth- and first-order output states for a normalized input.
+    """The pair (psi, K psi) for a normalized input psi.
 
     Requires the cutoff to exceed the largest input occupation by
     ``CUTOFF_HEADROOM`` (pair creation raises an occupation by two), so
@@ -226,10 +210,7 @@ def transform_first_order(
             f"cutoff {state.layout.cutoff} too small: occupations up to "
             f"{state.max_occupation()} require cutoff >= {needed}"
         )
-    gen = build_generator(model)
-    k_psi = apply_generator(gen, state)
-    psi0, psi1 = _rephased(model, [state, k_psi])
-    return FirstOrderPair(psi0, psi1)
+    return FirstOrderPair(state, apply_generator(build_generator(model), state))
 
 
 def validity_check(theta: float, qfi: float) -> tuple[float, bool]:

@@ -9,7 +9,9 @@ The golden first-order expansions below are written out term by term,
 independently of the package's sparse generator machinery, so the two
 constructions cross-check each other.  The sign convention is the one
 pinned by the exact propagator exp(-i theta H): with trivial phases and
-beta1_kk = 1 the vacuum acquires -(1/sqrt 2)|2> at first order.
+beta1_kk = 1 the vacuum acquires -(1/sqrt 2)|2> at first order.  They
+are the paper's states, so they carry the free evolution U0 that the
+package's route leaves out; ``free_evolved`` puts it back.
 """
 
 from __future__ import annotations
@@ -235,6 +237,12 @@ def random_state(
         amplitudes[tuple(occ)] = complex(rng.normal(), rng.normal())
     state = StateVector(layout, amplitudes, prune=0.0)
     return state.normalized()
+
+
+def free_evolved(model: BogoliubovFirstOrder, state: StateVector) -> StateVector:
+    """U0 applied to a state: each term times prod_n G_n^(n_n)."""
+    phase = np.prod(np.power(model.G, state.occupations()), axis=1)
+    return StateVector._from_ranks(state.layout, state.ranks, state.amplitudes * phase)
 
 
 def _put(amp: dict, occ: tuple[int, ...], value: complex) -> None:
@@ -489,20 +497,8 @@ def loop_first_order(model: BogoliubovFirstOrder, state: StateVector, keep=None)
                         down = -c * coeff.conjugate() * math.sqrt(occ[p] * occ[q])
                         accumulate(shifted(occ, (p, -1), (q, -1)), down)
 
-    def evolved(terms):
-        out = []
-        for occ, c in sorted(terms):
-            phase = 1.0 + 0.0j
-            for n, g in zip(occ, model.G):
-                if n:
-                    phase *= g**n
-            value = complex(c * phase)
-            if abs(value) > PRUNE_EPS:
-                out.append((occ, value))
-        return out
-
-    k_terms = [(occ, complex(c)) for occ, c in k_psi.items() if abs(complex(c)) > PRUNE_EPS]
-    psi0, psi1 = evolved(state.items()), evolved(k_terms)
+    psi0 = state.items()
+    psi1 = sorted((occ, complex(c)) for occ, c in k_psi.items() if abs(complex(c)) > PRUNE_EPS)
     if keep is None:
         return psi0, psi1, None
     kept = keep.indices

@@ -18,7 +18,7 @@ from bogofisher import (
     partial_trace,
 )
 
-from bogofisher.fock import PRUNE_EPS
+from bogofisher.fock import PRUNE_EPS, _unique_slots
 
 from helpers import random_state
 
@@ -213,3 +213,25 @@ def test_state_vector_arrays_are_sorted_ranks_and_amplitudes():
     with pytest.raises(ValueError):
         state.amplitudes[0] = 5.0
     assert np.array_equal(StateVector.from_dense(layout, state.to_dense()).ranks, state.ranks)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.zeros(0, dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.full(9, 2**62, dtype=np.int64),
+        np.random.default_rng(61).integers(0, 2**62, size=200, endpoint=True),
+        # Few distinct keys among many entries, so most runs are long.
+        np.random.default_rng(62).integers(0, 2**62, size=12)[
+            np.random.default_rng(63).integers(0, 12, size=500)
+        ],
+    ],
+    ids=["empty", "one", "all-equal", "random", "repeated"],
+)
+def test_unique_slots_equals_numpy_unique(values):
+    distinct, slots = _unique_slots(values)
+    expected, inverse = np.unique(values, return_inverse=True)
+    np.testing.assert_array_equal(distinct, expected)
+    np.testing.assert_array_equal(slots, inverse)
+    assert distinct.dtype == values.dtype

@@ -103,7 +103,6 @@ __all__ = [
     "evolve_state",
     "fit_scaling",
     "generator_from_model",
-    "hamiltonian",
     "independent_squeezers_generator",
     "inner_product",
     "load_model",

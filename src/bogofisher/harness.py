@@ -347,7 +347,11 @@ def optimize_state(
     recomputed on the first-order route.  Deterministic for a fixed seed:
     the winner is chosen by score, then lexicographically smallest
     amplitudes.  ``stationarity_residual`` is the gradient norm of the
-    retracted objective at the winner.
+    retracted objective at the winner, which reports how well it
+    converged: a restart may stop on the 1e-12 relative-decrease test
+    with a residual far above the 1e-9 gradient stop, so ``qfi`` is
+    converged to about 13 significant digits, not to every digit it
+    carries.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")

@@ -5,10 +5,11 @@ A quadratic Hermitian Hamiltonian
     H = sum_mn h_mn a_m^dag a_n
       + (1/2) sum_pq g_pq a_p^dag a_q^dag + (1/2) sum_pq conj(g_pq) a_p a_q
 
-generates the exact propagator U(theta) = exp(-i theta H).  H is built
-as a sparse matrix on the truncated basis once per generator and
-truncation (see ``GeneratorSpec``), and its action on a state vector is
-computed by ``_taylor_sweep``, the truncated-Taylor interval algorithm
+generates the exact propagator U(theta) = exp(-i theta H).  The oracle
+gathers one sparse operator per generator and truncation, A - mu I with
+A = -iH on the truncated basis and mu its mean diagonal entry (see
+``GeneratorSpec`` and ``_prepared``), and applies U(theta) to a state
+vector with ``_taylor_sweep``, the truncated-Taylor interval algorithm
 of Al-Mohy & Higham ("Computing the action of the matrix exponential",
 SIAM J. Sci. Comput. 2011, algorithm 5.2) for one vector.  It meets
 their backward-error bound at double precision, and for t||A||_1 up to
@@ -69,13 +70,14 @@ class GeneratorSpec:
     ``h`` is the Hermitian number-conserving block, ``g`` the symmetric
     pair-creation block (its conjugate closes the Hermitian form).
 
-    The sparse operator -iH of each truncation, with its 1-norm and its
-    trace-shifted form for the Taylor sweep (``_Operator``), is built on
-    first use and kept on the instance, keyed by (mode_count, cutoff), so
-    every oracle call of one command on one truncation shares one build.
-    The build gathers this instance's coefficients into index arrays that
-    every generator with the same nonzero pattern on that layout shares
-    (``_Template``), so a fresh instance does no index arithmetic.
+    The trace-shifted sparse operator -iH - mu I of each truncation that
+    the Taylor sweep multiplies by, with the 1-norms of -iH and of it
+    (``_Operator``), is gathered on first use and kept on the instance,
+    keyed by (mode_count, cutoff), so every oracle call of one command on
+    one truncation shares one build.  The gather places this instance's
+    coefficients through index arrays that every generator with the same
+    nonzero pattern on that layout shares (``_Template``), so a fresh
+    instance does no index arithmetic.
     ``h`` and ``g`` are read-only copies made here, so a kept operator
     cannot go stale.
     """
@@ -156,35 +158,6 @@ def generator_from_model(model: BogoliubovFirstOrder) -> GeneratorSpec:
     return GeneratorSpec(1j * K.number, 1j * K.pair_create)
 
 
-def hamiltonian(gen: GeneratorSpec, layout: ModeLayout) -> scipy.sparse.csr_matrix:
-    """Sparse truncated realization P H P of the quadratic Hamiltonian.
-
-    Entries come from occupation arithmetic on the lexicographic basis
-    (``ModeLayout.ranks_of``): a hop from mode n to mode m moves the basis
-    index by stride[m] - stride[n], a pair creation on modes (p, q) by
-    stride[p] + stride[q].  Couplings past the cutoff drop.  That
-    arithmetic depends only on the layout and on which coefficients are
-    nonzero, so it is done once per layout and nonzero pattern
-    (``_template``).  Each generator then costs one multiply of its
-    coefficients by the ladder amplitudes, one gather into CSR order and
-    the sums on the diagonal, and gives the bytes that a COO build and
-    scipy's conversion to CSR give.
-    """
-    if gen.mode_count != layout.mode_count:
-        raise ValueError("generator and layout have different mode counts")
-    t = _template_of(gen, layout)
-    coefficients = np.concatenate((gen.h.take(t.h_entries), gen.g.take(t.g_entries)))
-    products = np.repeat(coefficients, t.block_sizes) * t.amplitude
-    terms = np.concatenate((products, np.conjugate(products[t.pair_start :]))).take(t.order)
-    data = terms[: t.indices.size]
-    start = data.size
-    for entries in t.duplicates:
-        data[entries] += terms[start : start + entries.size]
-        start += entries.size
-    dim = layout.basis_size
-    return scipy.sparse.csr_matrix((data, t.indices.copy(), t.indptr.copy()), shape=(dim, dim))
-
-
 def _occupations(layout: ModeLayout) -> np.ndarray:
     """Occupation of each mode (rows) in each basis state (columns)."""
     return np.ascontiguousarray(layout.occupations_of(np.arange(layout.basis_size)).T)
@@ -192,23 +165,23 @@ def _occupations(layout: ModeLayout) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Template:
-    """Where each coefficient of H lands on one layout, for one nonzero pattern.
+    """Where each term of -iH - mu I lands on one layout, for one nonzero pattern.
 
     The coefficients are the entries of h at the flat indices ``h_entries``
     and of triu(g) at ``g_entries``.  Coefficient k multiplies the next
     ``block_sizes[k]`` ladder ``amplitude`` values: these products are the
     terms of H, followed by the conjugates of the pair-creation products
     (from ``pair_start`` on), which are the pair-annihilation terms.
-    ``order`` gathers the terms into the order in which scipy's COO to CSR
-    conversion sums them: first the leading term of each CSR entry
-    (``indices``, ``indptr``), then, for k = 1, 2, ..., the k-th further
-    term of each entry listed in ``duplicates[k - 1]``.  Only diagonal
-    entries have more than one term.
+    A zero term follows them.
 
-    ``diagonal`` holds the positions of H's diagonal entries.
-    ``union_indices`` and ``union_indptr`` are the pattern of A - mu I: A's
-    entries (where ``union_from`` is set) and one diagonal entry per row
-    (at ``union_diagonal``).  Every array is read-only.
+    ``union_indices`` and ``union_indptr`` are the CSR pattern of A - mu I:
+    the entries of H and one diagonal entry per row, at ``union_diagonal``.
+    ``order`` gathers the terms into the order in which scipy's COO to CSR
+    conversion sums them: first the leading term of each entry of that
+    pattern (the zero term where H has no entry), then, for k = 1, 2, ...,
+    the k-th further term of each entry listed in ``duplicates[k - 1]``.
+    Only diagonal entries have more than one term.  Every array is
+    read-only.
     """
 
     h_entries: np.ndarray
@@ -218,18 +191,9 @@ class _Template:
     pair_start: int
     order: np.ndarray
     duplicates: tuple[np.ndarray, ...]
-    indices: np.ndarray
-    indptr: np.ndarray
-    diagonal: np.ndarray
     union_indices: np.ndarray
     union_indptr: np.ndarray
-    union_from: np.ndarray
     union_diagonal: np.ndarray
-
-
-def _template_of(gen: GeneratorSpec, layout: ModeLayout) -> _Template:
-    """The cached ``_Template`` of ``gen``'s nonzero pattern on ``layout``."""
-    return _template(layout, *gen._pattern)
 
 
 @functools.cache
@@ -237,7 +201,7 @@ def _template(layout: ModeLayout, h_entries: tuple, g_entries: tuple) -> _Templa
     """The ``_Template`` of ``layout`` for coefficients at these flat indices of h, triu(g).
 
     Built at the first operator of each layout and pattern and kept for the
-    life of the process: one per pattern a process meets, each about 22
+    life of the process: one per pattern a process meets, each about 20
     bytes per nonzero of H.
     """
     dim = layout.basis_size
@@ -247,40 +211,30 @@ def _template(layout: ModeLayout, h_entries: tuple, g_entries: tuple) -> _Templa
     first = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
     counts = np.diff(first, append=rows.size)
     duplicates = [np.flatnonzero(counts > k) for k in range(1, counts.max(initial=1))]
-    entry_rows, indices = rows[first], cols[first]
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(np.bincount(entry_rows, minlength=dim), out=indptr[1:])
-    diagonal = np.flatnonzero(entry_rows == indices)
-    # A - mu I has a diagonal entry in every row: insert those A lacks.
-    has_diagonal = np.zeros(dim, dtype=bool)
-    has_diagonal[entry_rows[diagonal]] = True
-    missing = np.flatnonzero(~has_diagonal) * (dim + 1)
-    entry_keys = entry_rows.astype(np.int64) * dim + indices
-    at = np.searchsorted(entry_keys, missing)
-    union_keys = np.insert(entry_keys, at, missing)
-    union_from = np.ones(union_keys.size, dtype=bool)
-    union_from[at + np.arange(at.size)] = False
-    union_indptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(np.bincount(union_keys // dim, minlength=dim), out=union_indptr[1:])
+    entry_keys = rows[first].astype(np.int64) * dim + cols[first]
+    # A - mu I has a diagonal entry in every row, where H may have none.
+    diagonal_keys = np.arange(dim, dtype=np.int64) * (dim + 1)
+    union_keys = np.union1d(entry_keys, diagonal_keys)
+    position = np.searchsorted(union_keys, entry_keys)
+    pair_start = sum(sizes[: len(h_entries)])
+    # Where H has no entry, the leading term is the zero after H's terms.
+    leading = np.full(union_keys.size, 2 * amplitude.size - pair_start, dtype=np.int32)
+    leading[position] = term[first]
     template = _Template(
         h_entries=np.array(h_entries, dtype=np.intp),
         g_entries=np.array(g_entries, dtype=np.intp),
         block_sizes=np.array(sizes, dtype=np.intp),
         amplitude=amplitude,
-        pair_start=sum(sizes[: len(h_entries)]),
+        pair_start=pair_start,
         # Leading terms first, then for k = 1, 2, ... the k-th further term
         # of each entry that has one.
         order=np.concatenate(
-            [term[first], *(term[first[e] + k] for k, e in enumerate(duplicates, start=1))]
+            [leading, *(term[first[e] + k] for k, e in enumerate(duplicates, start=1))]
         ),
-        duplicates=tuple(e.astype(np.int32) for e in duplicates),
-        indices=indices,
-        indptr=indptr,
-        diagonal=diagonal.astype(np.int32),
+        duplicates=tuple(position[e].astype(np.int32) for e in duplicates),
         union_indices=(union_keys % dim).astype(np.int32),
-        union_indptr=union_indptr,
-        union_from=union_from,
-        union_diagonal=np.searchsorted(union_keys, np.arange(dim) * (dim + 1)).astype(np.int32),
+        union_indptr=np.searchsorted(union_keys, np.arange(dim + 1) * dim).astype(np.int32),
+        union_diagonal=np.searchsorted(union_keys, diagonal_keys).astype(np.int32),
     )
     for value in vars(template).values():
         for array in value if isinstance(value, tuple) else (value,):
@@ -361,7 +315,7 @@ def _csr_sorted(rows: np.ndarray, cols: np.ndarray, term: np.ndarray, dim: int):
 
 @dataclass(frozen=True, eq=False)
 class _Operator:
-    """-iH on one truncation, prepared once for every sweep over it.
+    """A = -iH on one truncation, prepared once for every sweep over it.
 
     ``shifted`` is A - mu I with mu = tr(A) / n, the shift that Al-Mohy &
     Higham apply before their Taylor sums, with the entries and bits of
@@ -370,7 +324,6 @@ class _Operator:
     exact 1-norms of A and of A - mu I.
     """
 
-    matrix: scipy.sparse.csr_matrix
     norm: float
     mu: complex
     shifted: scipy.sparse.csr_matrix
@@ -378,26 +331,47 @@ class _Operator:
 
 
 def _prepared(gen: GeneratorSpec, layout: ModeLayout) -> _Operator:
-    """-iH on ``layout`` with its shift, built once per generator and truncation.
+    """A - mu I on ``layout``, A = -iH, gathered once per generator and truncation.
 
-    H comes from ``hamiltonian``, and the shift from the layout's
-    ``_Template``: mu is the mean of the zero-filled diagonal, as
-    ``A.trace()`` sums it, and A - mu I fills the template's union pattern
-    and drops exact zeros, as scipy's subtraction does (so for mu = 0 and
-    no diagonal it is A).  Each 1-norm is the largest column sum of
-    absolute values, added in row order.
+    The entries of the truncated P H P come from occupation arithmetic on
+    the lexicographic basis (``ModeLayout.ranks_of``): a hop from mode n
+    to mode m moves the basis index by stride[m] - stride[n], a pair
+    creation on modes (p, q) by stride[p] + stride[q].  Couplings past the
+    cutoff drop.  That arithmetic depends only on the layout and on which
+    coefficients are nonzero, so it is done once per layout and nonzero
+    pattern (``_template``).  Each generator then costs one multiply of
+    its coefficients by the ladder amplitudes, one gather into CSR order,
+    the sums on the diagonal and the product with -1j: the bits of A that
+    a COO build, scipy's conversion to CSR and ``-1j * H`` give.  A lands
+    on the template's pattern of A - mu I; mu is the mean of the
+    zero-filled diagonal, as ``A.trace()`` sums it, and the shift drops
+    exact zeros, as scipy's subtraction does (so for mu = 0 and no
+    diagonal it is A).  Each 1-norm is the largest column sum of absolute
+    values, added in row order.
     """
     key = (layout.mode_count, layout.cutoff)
     cached = gen._operators.get(key)
     if cached is None:
-        A = -1j * hamiltonian(gen, layout)
-        t = _template_of(gen, layout)
-        n = A.shape[0]
+        if gen.mode_count != layout.mode_count:
+            raise ValueError("generator and layout have different mode counts")
+        t = _template(layout, *gen._pattern)
+        coefficients = np.concatenate((gen.h.take(t.h_entries), gen.g.take(t.g_entries)))
+        products = np.repeat(coefficients, t.block_sizes) * t.amplitude
+        terms = np.concatenate((products, np.conjugate(products[t.pair_start :]), [0j]))
+        terms = terms.take(t.order)
+        data = terms[: t.union_indices.size]
+        start = data.size
+        for entries in t.duplicates:
+            data[entries] += terms[start : start + entries.size]
+            start += entries.size
+        # -1j * 0j is +0j, as zero-filled: the added diagonal zeros add
+        # nothing to the column sums of A.
+        union = data * -1j
+        n = layout.basis_size
+        norm = float(np.bincount(t.union_indices, weights=np.abs(union), minlength=n).max())
         trace = np.zeros(n, dtype=np.complex128)
-        trace[t.indices[t.diagonal]] += A.data[t.diagonal]
+        trace += union[t.union_diagonal]
         mu = trace.sum() / float(n)
-        union = np.zeros(t.union_indices.size, dtype=np.complex128)
-        union[t.union_from] = A.data
         # mu I holds 1 * mu, whose zeros may carry other signs than mu's.
         union[t.union_diagonal] -= np.ones(1, dtype=np.complex128) * mu
         zeros = np.flatnonzero(union == 0)
@@ -409,11 +383,10 @@ def _prepared(gen: GeneratorSpec, layout: ModeLayout) -> _Operator:
             ),
             shape=(n, n),
         )
-        norm, shifted_norm = (
-            float(np.bincount(M.indices, weights=np.abs(M.data), minlength=n).max())
-            for M in (A, shifted)
+        shifted_norm = float(
+            np.bincount(shifted.indices, weights=np.abs(shifted.data), minlength=n).max()
         )
-        cached = gen._operators[key] = _Operator(A, norm, mu, shifted, shifted_norm)
+        cached = gen._operators[key] = _Operator(norm, mu, shifted, shifted_norm)
     return cached
 
 

@@ -20,6 +20,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import scipy.linalg
@@ -98,13 +99,16 @@ def dense_hamiltonian_matrix(gen: GeneratorSpec, layout: ModeLayout) -> np.ndarr
     return H.toarray()
 
 
-def coo_hamiltonian(gen: GeneratorSpec, layout: ModeLayout):
-    """(H, -iH prepared) by a COO build and scipy arithmetic: the template's reference.
+def coo_hamiltonian(gen: GeneratorSpec, layout: ModeLayout) -> types.SimpleNamespace:
+    """A = -iH, its shift and 1-norms by a COO build and scipy arithmetic.
 
     H is assembled term by term as COO and converted to CSR, which sums
-    each diagonal's terms; the operator takes mu from ``A.trace()``, A - mu I
-    from a scipy subtraction and both 1-norms from column sums.  The oracle
-    must reproduce every byte of it (``tests/test_oracle.py``).
+    each diagonal's terms, and A is ``-1j * H``; mu comes from
+    ``A.trace()``, A - mu I from a scipy subtraction and both 1-norms from
+    column sums.  The oracle's ``_Operator`` must reproduce every byte of
+    ``norm``, ``mu``, ``shifted`` and ``shifted_norm``
+    (``tests/test_oracle.py``); ``matrix`` is A, which the oracle never
+    builds.
     """
     cutoff = layout.cutoff
     occ = oracle._occupations(layout)
@@ -147,12 +151,14 @@ def coo_hamiltonian(gen: GeneratorSpec, layout: ModeLayout):
     def one_norm(matrix) -> float:
         return float(abs(matrix).sum(axis=0).max())
 
-    return H, oracle._Operator(A, one_norm(A), mu, shifted, one_norm(shifted))
+    return types.SimpleNamespace(
+        matrix=A, norm=one_norm(A), mu=mu, shifted=shifted, shifted_norm=one_norm(shifted)
+    )
 
 
 def dense_propagator(gen: GeneratorSpec, theta: float, layout: ModeLayout) -> np.ndarray:
-    """Dense U(theta) = exp(-i theta H) from the oracle's cached sparse -iH."""
-    return scipy.linalg.expm(theta * oracle._prepared(gen, layout).matrix.toarray())
+    """Dense U(theta) = exp(-i theta H) from the COO reference's sparse -iH."""
+    return scipy.linalg.expm(theta * coo_hamiltonian(gen, layout).matrix.toarray())
 
 
 def extract_bogoliubov(gen: GeneratorSpec, theta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -619,13 +619,13 @@ def test_zero_step_fresh_process_prints_no_warning(tms_doc, tmp_path):
 @pytest.mark.parametrize("command", ["scan", "oracle-compare"])
 def test_command_builds_the_hamiltonian_once(command, threads, tmp_path, monkeypatch, capsys):
     builds = []
-    real_hamiltonian = oracle.hamiltonian
+    real_operator = oracle._Operator
 
-    def counting_hamiltonian(gen, layout):
-        builds.append(layout)
-        return real_hamiltonian(gen, layout)
+    def counting_operator(*fields):
+        builds.append(fields)
+        return real_operator(*fields)
 
-    monkeypatch.setattr(oracle, "hamiltonian", counting_hamiltonian)
+    monkeypatch.setattr(oracle, "_Operator", counting_operator)
     monkeypatch.setenv("BOGOFISHER_THREADS", threads)
     model = write_json(
         tmp_path / "tms3.json",

@@ -82,15 +82,15 @@ import json, sys
 import bogofisher as bf
 
 lazy = "bogofisher.oracle" not in sys.modules
-resolved = [bf.generator_from_model, bf.scan_fock, bf.hamiltonian]
+resolved = [bf.generator_from_model, bf.scan_fock, bf.derivative_states]
 namespace = {}
 exec("from bogofisher import *", namespace)
 missing = [name for name in bf.__all__ if name not in namespace or not hasattr(bf, name)]
 print(json.dumps({"lazy": lazy, "missing": missing,
-                  "hamiltonian": bf.hamiltonian.__module__}))
+                  "derivative_states": bf.derivative_states.__module__}))
 """
     )
-    assert report == {"lazy": True, "missing": [], "hamiltonian": "bogofisher.oracle"}
+    assert report == {"lazy": True, "missing": [], "derivative_states": "bogofisher.oracle"}
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -19,7 +19,6 @@ from bogofisher import (
     derivative_states,
     evolve_state,
     generator_from_model,
-    hamiltonian,
     independent_squeezers_generator,
     qfi_fidelity_mixed,
     qfi_fidelity_pure,
@@ -64,21 +63,22 @@ def test_hamiltonian_matches_kron_ladders():
         layout = ModeLayout(modes, cutoff)
         for _ in range(3):
             gen = random_generator(rng, modes, 0.7)
-            H = hamiltonian(gen, layout).toarray()
-            assert np.max(np.abs(H - dense_hamiltonian_matrix(gen, layout))) < 1e-12
+            op = oracle._prepared(gen, layout)
+            A = op.shifted.toarray() + op.mu * np.eye(layout.basis_size)
+            expected = -1j * dense_hamiltonian_matrix(gen, layout)
+            assert np.max(np.abs(A - expected)) < 1e-12
 
 
 def _assert_matches_coo_reference(gen, layout):
-    """``hamiltonian`` and every ``_Operator`` field equal the COO build byte for byte."""
-    ref_H, ref = coo_hamiltonian(gen, layout)
+    """Every ``_Operator`` field equals the COO build byte for byte."""
+    ref = coo_hamiltonian(gen, layout)
     op = oracle._prepared(gen, layout)
-    pairs = [(hamiltonian(gen, layout), ref_H), (op.matrix, ref.matrix), (op.shifted, ref.shifted)]
-    for got, want in pairs:
-        assert got.format == want.format == "csr"
-        for name in ("indptr", "indices", "data"):
-            got_array, want_array = getattr(got, name), getattr(want, name)
-            assert got_array.dtype == want_array.dtype, name
-            assert got_array.tobytes() == want_array.tobytes(), name
+    got, want = op.shifted, ref.shifted
+    assert got.format == want.format == "csr"
+    for name in ("indptr", "indices", "data"):
+        got_array, want_array = getattr(got, name), getattr(want, name)
+        assert got_array.dtype == want_array.dtype, name
+        assert got_array.tobytes() == want_array.tobytes(), name
     assert op.norm == ref.norm
     assert op.shifted_norm == ref.shifted_norm
     assert np.complex128(op.mu).tobytes() == np.complex128(ref.mu).tobytes()
@@ -97,6 +97,8 @@ def test_operator_matches_coo_build_bit_for_bit():
         squeezer_generator(1, 3),
         two_mode_squeezer_generator(0, 2, 3),
         GeneratorSpec(np.diag([0.3, -1.1, 0.0]), zero),  # diagonal only
+        # n0 - n1 cancels exactly where n0 = n1 >= 1: explicit zeros in A.
+        GeneratorSpec(np.diag([1.0, -1.0, 0.0]), zero),
         GeneratorSpec(zero, zero),
     ):
         _assert_matches_coo_reference(gen, layout)
@@ -112,14 +114,15 @@ def test_template_shared_per_layout_and_nonzero_pattern():
     after = oracle._template.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
     assert after.hits > before.hits
-    assert oracle._template_of(second, layout) is oracle._template_of(first, layout)
+    shared = oracle._template(layout, *first._pattern)
+    assert oracle._template(layout, *second._pattern) is shared
     # Exact zeros in h and g give a second pattern on the same layout.
     h, g = first.h.copy(), first.g.copy()
     h[0, 2] = h[2, 0] = h[1, 1] = 0.0
     g[0, 1] = g[1, 0] = g[2, 2] = 0.0
     sparse = GeneratorSpec(h, g)
     _assert_matches_coo_reference(sparse, layout)
-    assert oracle._template_of(sparse, layout) is not oracle._template_of(first, layout)
+    assert oracle._template(layout, *sparse._pattern) is not shared
     assert oracle._template.cache_info().misses == before.misses + 1
 
 
@@ -615,13 +618,13 @@ def test_sweep_over_norm_budget_refused_before_expm_multiply(monkeypatch):
 
 def test_operator_built_once_per_generator_and_truncation(monkeypatch):
     builds = []
-    real_hamiltonian = oracle.hamiltonian
+    real_operator = oracle._Operator
 
-    def counting_hamiltonian(gen, layout):
-        builds.append((gen, layout))
-        return real_hamiltonian(gen, layout)
+    def counting_operator(*fields):
+        builds.append(real_operator(*fields))
+        return builds[-1]
 
-    monkeypatch.setattr(oracle, "hamiltonian", counting_hamiltonian)
+    monkeypatch.setattr(oracle, "_Operator", counting_operator)
     gen = two_mode_squeezer_generator(0, 1, 2)
     layout = ModeLayout(2, 7)
     state = StateVector.from_occupation(layout, [1, 1])
@@ -629,12 +632,24 @@ def test_operator_built_once_per_generator_and_truncation(monkeypatch):
     assert qfi_fidelity_pure(gen, state) == first
     derivative_states(gen, state).rho2
     dense_propagator(gen, 0.1, layout)
-    assert builds == [(gen, layout)]
+    assert builds == [oracle._prepared(gen, layout)]
     qfi_fidelity_pure(gen, StateVector.from_occupation(ModeLayout(2, 8), [1, 1]))
     fresh = two_mode_squeezer_generator(0, 1, 2)
     assert qfi_fidelity_pure(fresh, state) == first
-    assert [b[1].cutoff for b in builds] == [7, 8, 7]
-    assert builds[2][0] is fresh
+    assert [op.shifted.shape[0] for op in builds] == [8**2, 9**2, 8**2]
+    assert builds[2] is oracle._prepared(fresh, layout)
+
+
+def test_generator_and_state_mode_counts_must_match():
+    gen = two_mode_squeezer_generator(0, 1, 2)
+    state = StateVector.from_occupation(ModeLayout(3, 5), [1, 1, 0])
+    for evolve in (
+        lambda: qfi_fidelity_pure(gen, state),
+        lambda: derivative_states(gen, state),
+        lambda: evolve_state(gen, state, 0.1),
+    ):
+        with pytest.raises(ValueError, match="^generator and layout have different mode counts$"):
+            evolve()
 
 
 def test_kept_operator_norm_and_read_only_shell_mask():

@@ -19,17 +19,18 @@ from scipy.sparse.linalg._expm_multiply import (
 
 from bogofisher import GeneratorSpec, ModeLayout, StateVector, oracle
 
-from helpers import random_generator
+from helpers import coo_hamiltonian, random_generator
 
 _UNIT_ROUNDOFF = 2.0**-53
 
 
 def _operator_and_vector(seed: int, modes: int = 3, cutoff: int = 4):
+    """The oracle's operator, the COO reference's -iH and a random unit vector."""
     rng = np.random.default_rng(seed)
-    op = oracle._prepared(random_generator(rng, modes, 0.7), ModeLayout(modes, cutoff))
-    n = op.matrix.shape[0]
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return op, v / np.linalg.norm(v)
+    gen, layout = random_generator(rng, modes, 0.7), ModeLayout(modes, cutoff)
+    op = oracle._prepared(gen, layout)
+    v = rng.normal(size=layout.basis_size) + 1j * rng.normal(size=layout.basis_size)
+    return op, coo_hamiltonian(gen, layout).matrix, v / np.linalg.norm(v)
 
 
 def _grid(op, span_norm: float, start: str) -> tuple[float, float]:
@@ -58,24 +59,24 @@ def test_exact_cases_cover_every_branch_at_few_points():
 @pytest.mark.parametrize("num", _NUMS)
 @pytest.mark.parametrize("span_norm", _EXACT_NORMS)
 def test_sweep_is_bit_identical_to_expm_multiply(span_norm, num, start):
-    op, v = _operator_and_vector(int(span_norm * 1000) + num)
+    op, A, v = _operator_and_vector(int(span_norm * 1000) + num)
     lo, hi = _grid(op, span_norm, start)
-    expected = expm_multiply(op.matrix, v, start=lo, stop=hi, num=num, endpoint=True)
+    expected = expm_multiply(A, v, start=lo, stop=hi, num=num, endpoint=True)
     assert oracle._taylor_sweep(op, v, lo, hi, num).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("num", [2, 3, 5])
 @pytest.mark.parametrize("span_norm", [70.0, 100.0, 400.0, 1000.0])
 def test_sweep_past_exact_range_is_accurate(span_norm, num):
-    op, v = _operator_and_vector(int(span_norm) + num)
+    op, A, v = _operator_and_vector(int(span_norm) + num)
     lo, hi = _grid(op, span_norm, "negative")
     # exp(-i theta H) v in the eigenbasis of the Hermitian H = iA.
-    energies, basis = np.linalg.eigh(1j * op.matrix.toarray())
+    energies, basis = np.linalg.eigh(1j * A.toarray())
     coefficients = basis.conj().T @ v
     thetas = np.linspace(lo, hi, num)
     exact = np.array([basis @ (np.exp(-1j * t * energies) * coefficients) for t in thetas])
     ours = oracle._taylor_sweep(op, v, lo, hi, num)
-    theirs = expm_multiply(op.matrix, v, start=lo, stop=hi, num=num, endpoint=True)
+    theirs = expm_multiply(A, v, start=lo, stop=hi, num=num, endpoint=True)
     # Both meet the backward-error tolerance u, so they agree to a few
     # u * t||A||_1; the kernel's more conservative step keeps it within one.
     assert np.max(np.abs(ours - exact)) <= _UNIT_ROUNDOFF * span_norm
@@ -88,20 +89,21 @@ def test_descending_sweep_returns_the_ascending_rows_reversed():
     # At cutoff 9 every vector of the sweep meets the boundary-shell budget.
     state = StateVector.from_occupation(ModeLayout(2, 9), [1, 1])
     v0, sweep = oracle._propagation(gen, state)
-    A = oracle._prepared(gen, state.layout).matrix
+    A = coo_hamiltonian(gen, state.layout).matrix
     expected = expm_multiply(A, v0, start=-1e-2, stop=3e-2, num=5, endpoint=True)
     assert sweep(3e-2, -1e-2, 5).tobytes() == expected[::-1].tobytes()
 
 
 def test_zero_operator_sweep_keeps_the_vector():
     zero = np.zeros((2, 2))
-    op = oracle._prepared(GeneratorSpec(zero, zero), ModeLayout(2, 3))
+    gen, layout = GeneratorSpec(zero, zero), ModeLayout(2, 3)
+    op, A = oracle._prepared(gen, layout), coo_hamiltonian(gen, layout).matrix
     assert op.shifted_norm == 0.0
     assert oracle._taylor_degree(0.0) == (0, 1)
-    _, v = _operator_and_vector(3, modes=2, cutoff=3)
+    _, _, v = _operator_and_vector(3, modes=2, cutoff=3)
     for num in (2, 3, 5):
         out = oracle._taylor_sweep(op, v, 0.0, 1.0, num)
-        expected = expm_multiply(op.matrix, v, start=0.0, stop=1.0, num=num, endpoint=True)
+        expected = expm_multiply(A, v, start=0.0, stop=1.0, num=num, endpoint=True)
         assert out.tobytes() == expected.tobytes()
         assert np.array_equal(out, np.tile(v, (num, 1)))
 

@@ -100,7 +100,6 @@ __all__ = [
     "coherent_state",
     "derivative_states",
     "eval_named_states",
-    "evolve_state",
     "fit_scaling",
     "generator_from_model",
     "independent_squeezers_generator",
@@ -138,7 +137,7 @@ __all__ = [
 def __getattr__(name: str):
     """The oracle's names in ``__all__``, imported on first access (PEP 562).
 
-    The oracle needs scipy, so the first-order route imports none of it.
+    The first-order route imports none of the oracle.
     """
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

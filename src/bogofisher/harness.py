@@ -48,6 +48,7 @@ DEFAULT_CUTOFF_MARGIN = 6
 DEFAULT_SEED = 7
 DEFAULT_RESTARTS = 8
 DEFAULT_MAX_ITER = 2000
+_FIT_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def scan_fock(
     |n_k>|m_k'> over the diagonal m = n (default) or the full n x m grid
     when ``m_values`` is supplied.
     """
-    from .oracle import _prepared, generator_from_model, qfi_fidelity_pure
+    from .oracle import generator_from_model, qfi_fidelity_pure
 
     if kprime is None:
         _check_mode(model.mode_count, k)
@@ -108,10 +109,8 @@ def scan_fock(
     if cutoff is None:
         cutoff = max_occ + DEFAULT_CUTOFF_MARGIN
     layout = ModeLayout(model.mode_count, cutoff)
+    # Points of one sector share one -iH, built where the first of them meets it.
     generator = generator_from_model(model)
-    # Every point shares one -iH, built here before any pool thread runs.
-    # It also refuses a layout past the dense budget before any point is made.
-    _prepared(generator, layout)
     # Made one at a time, so a serial scan stops at its first failing point.
     if kprime is None:
         points = ((n, None) for n in n_values)
@@ -151,8 +150,11 @@ def scan_fock(
     workers = worker_count(threads)
     if workers == 1:
         return [evaluate(point) for point in points]
+    # The pool lists every point, so the first runs before it: a truncation
+    # past the budget is refused before a long range is listed.
+    first = evaluate(next(points))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate, points))
+        return [first, *pool.map(evaluate, points)]
 
 
 def _scan_values(values: Sequence[int]) -> tuple[Sequence[int], int]:
@@ -208,10 +210,10 @@ def fit_scaling(
     e/nbar^2) by least squares; the finite-size correction factors keep
     the exponent estimate from being dragged down by sub-leading terms
     at small occupation.  Pass vacuum_term = 0 to fit raw values.
-    Requires at least four points with nbar >= 1.
+    Requires at least four points with nbar >= 1.  The fit is a
+    Levenberg-Marquardt iteration on the analytic Jacobian, started from
+    the straight-line fit of log(qfi) on log(nbar).
     """
-    from scipy.optimize import least_squares
-
     nbar = np.asarray(nbar, dtype=float)
     qfi = np.asarray(qfi, dtype=float)
     if nbar.shape != qfi.shape:
@@ -226,16 +228,42 @@ def fit_scaling(
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
 
-    def residuals(params: np.ndarray) -> np.ndarray:
+    def residuals(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals and their Jacobian in (log c, p, d, e)."""
         log_c, p, d, e = params
         corr = 1.0 + d / x + e / x**2
-        corr = np.where(corr <= 1e-12, 1e-12, corr)
-        return ly - (log_c + p * lx + np.log(corr))
+        clipped = corr <= 1e-12
+        corr = np.where(clipped, 1e-12, corr)
+        dr_dd = np.where(clipped, 0.0, -1.0 / (x * corr))
+        jacobian = np.column_stack([-np.ones_like(x), -lx, dr_dd, dr_dd / x])
+        return ly - (log_c + p * lx + np.log(corr)), jacobian
 
-    result = least_squares(
-        residuals, np.array([intercept, slope, 0.0, 0.0]), xtol=1e-14, ftol=1e-14
-    )
-    return float(result.x[1])
+    # Levenberg-Marquardt with Nielsen's damping update (IMM report, 1999).
+    params = np.array([intercept, slope, 0.0, 0.0])
+    r, jac = residuals(params)
+    cost = r @ r
+    damping, growth = 1e-3 * float(np.max(np.sum(jac * jac, axis=0))), 2.0
+    for _ in range(_FIT_MAX_ITER):
+        gradient = jac.T @ r
+        step = np.linalg.solve(jac.T @ jac + damping * np.eye(4), -gradient)
+        r_trial, jac_trial = residuals(params + step)
+        cost_trial = r_trial @ r_trial
+        # The decrease the linear model predicts, positive for a nonzero step.
+        predicted = step @ (damping * step - gradient)
+        gain = (cost - cost_trial) / predicted if predicted > 0.0 else -1.0
+        if gain > 0.0:
+            small = np.linalg.norm(step) <= 1e-14 * (np.linalg.norm(params) + 1e-14)
+            params, r, jac, cost = params + step, r_trial, jac_trial, cost_trial
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            growth = 2.0
+            if small or cost == 0.0:
+                break
+        elif growth > 2.0**40:
+            break
+        else:
+            damping *= growth
+            growth *= 2.0
+    return float(params[1])
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,34 @@ A quadratic Hermitian Hamiltonian
     H = sum_mn h_mn a_m^dag a_n
       + (1/2) sum_pq g_pq a_p^dag a_q^dag + (1/2) sum_pq conj(g_pq) a_p a_q
 
-generates the exact propagator U(theta) = exp(-i theta H).  The oracle
-gathers one sparse operator per generator and truncation, A - mu I with
-A = -iH on the truncated basis and mu its mean diagonal entry (see
-``GeneratorSpec`` and ``_prepared``), and applies U(theta) to a state
-vector with ``_taylor_sweep``, the truncated-Taylor interval algorithm
-of Al-Mohy & Higham ("Computing the action of the matrix exponential",
-SIAM J. Sci. Comput. 2011, algorithm 5.2) for one vector.  It meets
-their backward-error bound at double precision, and for t||A||_1 up to
-63.4 it returns the vectors of ``scipy.sparse.linalg.expm_multiply`` bit
-for bit.  Everything downstream is obtained nonperturbatively:
-fidelity-based QFI with Richardson extrapolation, Uhlmann fidelity for
-reduced states, and finite-difference state and density-operator
-derivatives.
+generates the exact propagator U(theta) = exp(-i theta H).  Each term
+of H changes the total occupation by 0 or +-2, so each oracle call
+propagates on its input state's own sector of the truncated basis
+(``_sector_of``, ``_sector``): the states with every mode at most the
+cutoff, a total occupation of at most N_max, the input's largest total
+plus the cutoff's headroom over its largest occupation, and a total of
+one of the parities of the input's totals (its parity classes).  The
+boundary shell that guards the truncation holds the states within two
+levels of the cutoff in some mode or of N_max in total.
+
+The oracle gathers one sparse operator per generator and sector,
+A - mu I with A = -iH on the sector and mu its mean diagonal entry (see
+``GeneratorSpec`` and ``_prepared``).  Its entries are held as row and
+column index arrays sorted by row and column; the several terms of a
+diagonal entry are summed in COO order (one block per h coefficient, in
+the order of its flat index).  The product with a vector is computed
+in numpy (``_product``): the entries are rounded as ``complex * complex``
+and each row's terms are added one by one from +0, in column order.
+``_taylor_sweep`` applies U(theta) to a state vector with the
+truncated-Taylor interval algorithm of Al-Mohy & Higham ("Computing the
+action of the matrix exponential", SIAM J. Sci. Comput. 2011, algorithm
+5.2) for one vector.  It meets their backward-error bound at double
+precision, and for t||A||_1 up to 63.4 it returns the vectors of
+``scipy.sparse.linalg.expm_multiply`` on the same operator bit for bit;
+the package itself needs numpy only.  Everything downstream is obtained
+nonperturbatively: fidelity-based QFI with Richardson extrapolation,
+Uhlmann fidelity for reduced states, and finite-difference state and
+density-operator derivatives.
 
 Convention pinned here and mirrored by the perturbative module: the
 mode operators transform as a_m -> U^dag a_m U, so the single-mode
@@ -31,21 +46,23 @@ import cmath
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse
 
 from .bogoliubov import BogoliubovFirstOrder
 from .errors import BudgetError
 from .fock import (
+    DENSE_DIM_BUDGET,
     DensityOperator,
     ModeLayout,
     ModeSubset,
     StateVector,
     _check_mode,
     _check_mode_pair,
+    _cmul,
     _place_values,
     _reduced_dense,
 )
@@ -70,14 +87,14 @@ class GeneratorSpec:
     ``h`` is the Hermitian number-conserving block, ``g`` the symmetric
     pair-creation block (its conjugate closes the Hermitian form).
 
-    The trace-shifted sparse operator -iH - mu I of each truncation that
-    the Taylor sweep multiplies by, with the 1-norms of -iH and of it
+    The trace-shifted sparse operator -iH - mu I of each sector that the
+    Taylor sweep multiplies by, with the 1-norms of -iH and of it
     (``_Operator``), is gathered on first use and kept on the instance,
-    keyed by (mode_count, cutoff), so every oracle call of one command on
-    one truncation shares one build.  The gather places this instance's
-    coefficients through index arrays that every generator with the same
-    nonzero pattern on that layout shares (``_Template``), so a fresh
-    instance does no index arithmetic.
+    keyed by (mode_count, cutoff, N_max, parity classes), so every oracle
+    call of one command on one sector shares one build.  The gather
+    places this instance's coefficients through index arrays that every
+    generator with the same nonzero pattern on that sector shares
+    (``_Template``), so a fresh instance does no index arithmetic.
     ``h`` and ``g`` are read-only copies made here, so a kept operator
     cannot go stale.
     """
@@ -158,14 +175,66 @@ def generator_from_model(model: BogoliubovFirstOrder) -> GeneratorSpec:
     return GeneratorSpec(1j * K.number, 1j * K.pair_create)
 
 
-def _occupations(layout: ModeLayout) -> np.ndarray:
-    """Occupation of each mode (rows) in each basis state (columns)."""
-    return np.ascontiguousarray(layout.occupations_of(np.arange(layout.basis_size)).T)
+def _sector_of(state: StateVector) -> tuple[int, tuple[int, ...]]:
+    """(N_max, parity classes) of the sector that ``state`` propagates on.
+
+    N_max is the largest total occupation of the state's terms plus the
+    headroom, the cutoff minus its largest single-mode occupation, capped
+    at mode_count * cutoff; the parity classes are the parities of the
+    terms' totals.  N_max is lowered by one where no class has its
+    parity, which drops no state, so equal sectors get equal keys.
+    """
+    layout = state.layout
+    occ = state.occupations()
+    totals = occ.sum(axis=1)
+    parity = tuple(sorted(set((totals % 2).tolist()))) or (0,)
+    headroom = layout.cutoff - int(occ.max(initial=0))
+    n_max = min(int(totals.max(initial=0)) + headroom, layout.mode_count * layout.cutoff)
+    if n_max % 2 not in parity:
+        n_max -= 1
+    return n_max, parity
+
+
+@functools.cache
+def _sector(layout: ModeLayout, n_max: int, parity: tuple[int, ...]) -> np.ndarray:
+    """Sorted int64 ranks of the states with total <= ``n_max`` of a parity in ``parity``.
+
+    A quadratic H changes the total occupation by 0 or +-2, so these
+    states are closed under it up to the pair creations past ``n_max``.
+    Built mode by mode from the prefixes of the first modes, the last
+    mode taking only the allowed parities; ``n_max`` has one of them
+    (``_sector_of``), so every prefix has a completion and no stage is
+    larger than the sector.  Each stage is counted before it is
+    allocated and refused past ``DENSE_DIM_BUDGET``.  Read-only.
+    """
+    cutoff, modes = layout.cutoff, layout.mode_count
+    places = _place_values(cutoff, modes)
+    ranks = np.zeros(1, dtype=np.int64)
+    totals = np.zeros(1, dtype=np.int64)
+    for mode in range(modes):
+        # Each prefix takes the levels lowest, lowest + step, ... up to the
+        # cutoff or to n_max; on the last mode only the allowed parities.
+        step = 2 if mode == modes - 1 and len(parity) == 1 else 1
+        lowest = (parity[0] - totals) % 2 if step == 2 else np.zeros_like(totals)
+        counts = (np.minimum(cutoff, n_max - totals) - lowest) // step + 1
+        # The max first: the sum of counts past the budget could overflow.
+        if counts.max() > DENSE_DIM_BUDGET or counts.sum() > DENSE_DIM_BUDGET:
+            raise BudgetError(
+                f"sector of the basis states with total occupation <= {n_max} exceeds "
+                f"the dense-dimension budget {DENSE_DIM_BUDGET}"
+            )
+        prefix = np.repeat(np.arange(ranks.size), counts)
+        offset = np.arange(prefix.size) - (np.cumsum(counts) - counts)[prefix]
+        level = lowest[prefix] + step * offset
+        ranks = ranks[prefix] + level * places[mode]
+        totals = totals[prefix] + level
+    ranks.flags.writeable = False
+    return ranks
 
 
 @dataclass(frozen=True, eq=False)
 class _Template:
-    """Where each term of -iH - mu I lands on one layout, for one nonzero pattern.
+    """Where each term of -iH - mu I lands in one sector, for one nonzero pattern.
 
     The coefficients are the entries of h at the flat indices ``h_entries``
     and of triu(g) at ``g_entries``.  Coefficient k multiplies the next
@@ -174,14 +243,15 @@ class _Template:
     (from ``pair_start`` on), which are the pair-annihilation terms.
     A zero term follows them.
 
-    ``union_indices`` and ``union_indptr`` are the CSR pattern of A - mu I:
-    the entries of H and one diagonal entry per row, at ``union_diagonal``.
-    ``order`` gathers the terms into the order in which scipy's COO to CSR
-    conversion sums them: first the leading term of each entry of that
-    pattern (the zero term where H has no entry), then, for k = 1, 2, ...,
-    the k-th further term of each entry listed in ``duplicates[k - 1]``.
-    Only diagonal entries have more than one term.  Every array is
-    read-only.
+    ``rows`` and ``cols`` are the pattern of A - mu I in sector indices,
+    sorted by row and then by column: the entries of H and one diagonal
+    entry per row, at ``diagonal``.  ``order`` gathers the terms into the
+    order in which they are summed: first the leading term of each entry
+    of that pattern (the zero term where H has no entry), then, for
+    k = 1, 2, ..., the k-th further term of each entry listed in
+    ``duplicates[k - 1]``.  Only diagonal entries have more than one
+    term, and they are summed in COO order: one block per h coefficient,
+    in the order of ``h_entries``.  Every array is read-only.
     """
 
     h_entries: np.ndarray
@@ -191,34 +261,38 @@ class _Template:
     pair_start: int
     order: np.ndarray
     duplicates: tuple[np.ndarray, ...]
-    union_indices: np.ndarray
-    union_indptr: np.ndarray
-    union_diagonal: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    diagonal: np.ndarray
 
 
 @functools.cache
-def _template(layout: ModeLayout, h_entries: tuple, g_entries: tuple) -> _Template:
-    """The ``_Template`` of ``layout`` for coefficients at these flat indices of h, triu(g).
+def _template(
+    layout: ModeLayout, n_max: int, parity: tuple[int, ...], h_entries: tuple, g_entries: tuple
+) -> _Template:
+    """The ``_Template`` of one sector for coefficients at these flat indices of h, triu(g).
 
-    Built at the first operator of each layout and pattern and kept for the
-    life of the process: one per pattern a process meets, each about 20
-    bytes per nonzero of H.
+    Built at the first operator of each sector and pattern and kept for
+    the life of the process: one per sector and pattern a process meets,
+    each about 40 bytes per nonzero of H.
     """
-    dim = layout.basis_size
-    amplitude, sizes, rows, cols, term = _coo_terms(layout, h_entries, g_entries)
-    rows, cols, term = _csr_sorted(rows, cols, term, dim)
-    # Each CSR entry starts where (row, col) changes; its terms follow it.
+    dim = _sector(layout, n_max, parity).size
+    amplitude, sizes, rows, cols, term = _coo_terms(layout, n_max, parity, h_entries, g_entries)
+    # Row-major, with the terms of one entry in COO order (lexsort is stable).
+    order = np.lexsort((cols, rows))
+    rows, cols, term = rows[order], cols[order], term[order]
+    # Each entry starts where (row, col) changes; its terms follow it.
     first = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
     counts = np.diff(first, append=rows.size)
     duplicates = [np.flatnonzero(counts > k) for k in range(1, counts.max(initial=1))]
-    entry_keys = rows[first].astype(np.int64) * dim + cols[first]
+    entry_keys = rows[first] * dim + cols[first]
     # A - mu I has a diagonal entry in every row, where H may have none.
     diagonal_keys = np.arange(dim, dtype=np.int64) * (dim + 1)
     union_keys = np.union1d(entry_keys, diagonal_keys)
     position = np.searchsorted(union_keys, entry_keys)
     pair_start = sum(sizes[: len(h_entries)])
     # Where H has no entry, the leading term is the zero after H's terms.
-    leading = np.full(union_keys.size, 2 * amplitude.size - pair_start, dtype=np.int32)
+    leading = np.full(union_keys.size, 2 * amplitude.size - pair_start, dtype=np.intp)
     leading[position] = term[first]
     template = _Template(
         h_entries=np.array(h_entries, dtype=np.intp),
@@ -231,10 +305,10 @@ def _template(layout: ModeLayout, h_entries: tuple, g_entries: tuple) -> _Templa
         order=np.concatenate(
             [leading, *(term[first[e] + k] for k, e in enumerate(duplicates, start=1))]
         ),
-        duplicates=tuple(position[e].astype(np.int32) for e in duplicates),
-        union_indices=(union_keys % dim).astype(np.int32),
-        union_indptr=np.searchsorted(union_keys, np.arange(dim + 1) * dim).astype(np.int32),
-        union_diagonal=np.searchsorted(union_keys, diagonal_keys).astype(np.int32),
+        duplicates=tuple(position[e] for e in duplicates),
+        rows=(union_keys // dim).astype(np.intp),
+        cols=(union_keys % dim).astype(np.intp),
+        diagonal=np.searchsorted(union_keys, diagonal_keys),
     )
     for value in vars(template).values():
         for array in value if isinstance(value, tuple) else (value,):
@@ -243,157 +317,168 @@ def _template(layout: ModeLayout, h_entries: tuple, g_entries: tuple) -> _Templa
     return template
 
 
-def _coo_terms(layout: ModeLayout, h_entries: tuple, g_entries: tuple):
-    """Amplitudes, block sizes and the int32 rows, cols and term of H's COO build.
+def _coo_terms(
+    layout: ModeLayout, n_max: int, parity: tuple[int, ...], h_entries: tuple, g_entries: tuple
+):
+    """Amplitudes, block sizes and the rows, cols and term of H's COO build on a sector.
 
-    The COO order is one block per h coefficient, then per pair
-    coefficient its creation block and the transpose, its annihilation
-    block.  ``term`` numbers each COO entry's term: the products of each
-    coefficient with its block's amplitudes, then the conjugates of the
-    pair-creation products.
+    Rows and columns are sector indices.  The COO order is one block per
+    h coefficient, then per pair coefficient its creation block and the
+    transpose, its annihilation block.  ``term`` numbers each COO entry's
+    term: the products of each coefficient with its block's amplitudes,
+    then the conjugates of the pair-creation products.
     """
     modes, cutoff = layout.mode_count, layout.cutoff
-    occ = _occupations(layout)
+    sector = _sector(layout, n_max, parity)
+    occ = np.ascontiguousarray(layout.occupations_of(sector).T)
+    # A pair creation stays in the sector only up to total n_max.
+    pair_room = occ.sum(axis=0) + 2 <= n_max
     stride = _place_values(cutoff, modes)
+
+    def targets(src: np.ndarray, shift: int) -> np.ndarray:
+        return np.searchsorted(sector, sector[src] + shift)
+
     # One (target rows, source columns, amplitudes) block per coefficient.
     blocks = []
     for flat in h_entries:
         m, n = divmod(flat, modes)
         if m == n:
-            src = np.flatnonzero(occ[n]).astype(np.int32)
+            src = np.flatnonzero(occ[n])
             blocks.append((src, src, occ[n, src].astype(np.float64)))
         else:
-            src = np.flatnonzero((occ[n] > 0) & (occ[m] < cutoff)).astype(np.int32)
+            src = np.flatnonzero((occ[n] > 0) & (occ[m] < cutoff))
             amplitude = np.sqrt(occ[n, src] * (occ[m, src] + 1.0))
-            blocks.append((src + int(stride[m] - stride[n]), src, amplitude))
+            blocks.append((targets(src, int(stride[m] - stride[n])), src, amplitude))
     # (1/2) sum_pq g_pq adag_p adag_q collapses to g_pq per unordered pair
     # (g symmetric) and g_pp / 2 on the diagonal; the Hermitian conjugate
     # entries are the pair-annihilation block.
     for flat in g_entries:
         p, q = divmod(flat, modes)
         if p == q:
-            src = np.flatnonzero(occ[p] + 2 <= cutoff).astype(np.int32)
+            src = np.flatnonzero((occ[p] + 2 <= cutoff) & pair_room)
             amplitude = 0.5 * np.sqrt((occ[p, src] + 1.0) * (occ[p, src] + 2.0))
         else:
-            src = np.flatnonzero((occ[p] < cutoff) & (occ[q] < cutoff)).astype(np.int32)
+            src = np.flatnonzero((occ[p] < cutoff) & (occ[q] < cutoff) & pair_room)
             amplitude = np.sqrt((occ[p, src] + 1.0) * (occ[q, src] + 1.0))
-        blocks.append((src + int(stride[p] + stride[q]), src, amplitude))
+        blocks.append((targets(src, int(stride[p] + stride[q])), src, amplitude))
     amplitude = np.concatenate([np.zeros(0), *(block[2] for block in blocks)])
     sizes = [block[1].size for block in blocks]
     conjugates = amplitude.size - sum(sizes[: len(h_entries)])
     starts = np.cumsum([0] + sizes)
     coo = []
     for k, (target, src, _) in enumerate(blocks):
-        term = np.arange(starts[k], starts[k + 1], dtype=np.int32)
+        term = np.arange(starts[k], starts[k + 1], dtype=np.intp)
         coo.append((target, src, term))
         if k >= len(h_entries):
             coo.append((src, target, term + conjugates))
     rows, cols, term = (
-        np.concatenate([np.zeros(0, np.int32), *(part[i] for part in coo)]) for i in range(3)
+        np.concatenate([np.zeros(0, np.intp), *(part[i] for part in coo)]) for i in range(3)
     )
     return amplitude, sizes, rows, cols, term
 
 
-def _csr_sorted(rows: np.ndarray, cols: np.ndarray, term: np.ndarray, dim: int):
-    """``rows``, ``cols`` and ``term`` in the order scipy's COO to CSR conversion gives.
-
-    The conversion buckets the entries by row, keeping their order, then
-    sorts each row by column with an unstable sort and sums equal
-    neighbours left to right.  Sorting labels the same way gives the
-    order in which it adds each diagonal's terms.
-    """
-    order = np.argsort(rows, kind="stable")
-    row_starts = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=dim), out=row_starts[1:])
-    labels = scipy.sparse.csr_matrix(
-        (np.arange(order.size, dtype=np.int32), cols[order], row_starts), shape=(dim, dim)
-    )
-    labels.sort_indices()
-    order = order[labels.data]
-    return rows[order], cols[order], term[order]
-
-
 @dataclass(frozen=True, eq=False)
 class _Operator:
-    """A = -iH on one truncation, prepared once for every sweep over it.
+    """A = -iH on one sector, prepared once for every sweep over it.
 
-    ``shifted`` is A - mu I with mu = tr(A) / n, the shift that Al-Mohy &
-    Higham apply before their Taylor sums, with the entries and bits of
-    the scipy subtraction that ``expm_multiply`` makes, so that each
-    product adds in the same order.  ``norm`` and ``shifted_norm`` are the
-    exact 1-norms of A and of A - mu I.
+    ``shifted`` holds the entries of A - mu I at (``rows``, ``cols``), the
+    template's pattern with its zeros, where mu = tr(A) / n is the shift
+    that Al-Mohy & Higham apply before their Taylor sums.  ``norm`` and
+    ``shifted_norm`` are the exact 1-norms of A and of A - mu I.
     """
 
     norm: float
     mu: complex
-    shifted: scipy.sparse.csr_matrix
+    shifted: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     shifted_norm: float
 
 
-def _prepared(gen: GeneratorSpec, layout: ModeLayout) -> _Operator:
-    """A - mu I on ``layout``, A = -iH, gathered once per generator and truncation.
+# Held while an operator is built, so that scan threads meeting the same
+# sector build it (and its template) once.
+_BUILD_LOCK = threading.Lock()
+
+
+def _prepared(
+    gen: GeneratorSpec, layout: ModeLayout, n_max: int, parity: tuple[int, ...]
+) -> _Operator:
+    """A - mu I on one sector, A = -iH, gathered once per generator and sector.
 
     The entries of the truncated P H P come from occupation arithmetic on
-    the lexicographic basis (``ModeLayout.ranks_of``): a hop from mode n
-    to mode m moves the basis index by stride[m] - stride[n], a pair
-    creation on modes (p, q) by stride[p] + stride[q].  Couplings past the
-    cutoff drop.  That arithmetic depends only on the layout and on which
-    coefficients are nonzero, so it is done once per layout and nonzero
+    the lexicographic ranks (``ModeLayout.ranks_of``): a hop from mode n
+    to mode m moves the rank by stride[m] - stride[n], a pair creation on
+    modes (p, q) by stride[p] + stride[q], and a ``searchsorted`` finds
+    the target in the sector.  Couplings past the cutoff or past N_max
+    drop.  That arithmetic depends only on the sector and on which
+    coefficients are nonzero, so it is done once per sector and nonzero
     pattern (``_template``).  Each generator then costs one multiply of
-    its coefficients by the ladder amplitudes, one gather into CSR order,
-    the sums on the diagonal and the product with -1j: the bits of A that
-    a COO build, scipy's conversion to CSR and ``-1j * H`` give.  A lands
-    on the template's pattern of A - mu I; mu is the mean of the
-    zero-filled diagonal, as ``A.trace()`` sums it, and the shift drops
-    exact zeros, as scipy's subtraction does (so for mu = 0 and no
-    diagonal it is A).  Each 1-norm is the largest column sum of absolute
-    values, added in row order.
+    its coefficients by the ladder amplitudes, one gather into the
+    summation order, the sums on the diagonal and the product with -1j.
+    mu is the mean of the diagonal, summed as numpy sums it; each 1-norm
+    is the largest column sum of absolute values, added in row order.
+    These are the bits of a COO build whose duplicates are summed in COO
+    order, converted by scipy and shifted as ``expm_multiply`` shifts it,
+    except for the exact zeros that scipy's subtraction drops: the
+    product adds each row's terms to +0, so a +-0 term changes no bit.
     """
-    key = (layout.mode_count, layout.cutoff)
+    key = (layout.mode_count, layout.cutoff, n_max, parity)
     cached = gen._operators.get(key)
     if cached is None:
-        if gen.mode_count != layout.mode_count:
-            raise ValueError("generator and layout have different mode counts")
-        t = _template(layout, *gen._pattern)
-        coefficients = np.concatenate((gen.h.take(t.h_entries), gen.g.take(t.g_entries)))
-        products = np.repeat(coefficients, t.block_sizes) * t.amplitude
-        terms = np.concatenate((products, np.conjugate(products[t.pair_start :]), [0j]))
-        terms = terms.take(t.order)
-        data = terms[: t.union_indices.size]
-        start = data.size
-        for entries in t.duplicates:
-            data[entries] += terms[start : start + entries.size]
-            start += entries.size
-        # -1j * 0j is +0j, as zero-filled: the added diagonal zeros add
-        # nothing to the column sums of A.
-        union = data * -1j
-        n = layout.basis_size
-        norm = float(np.bincount(t.union_indices, weights=np.abs(union), minlength=n).max())
-        trace = np.zeros(n, dtype=np.complex128)
-        trace += union[t.union_diagonal]
-        mu = trace.sum() / float(n)
-        # mu I holds 1 * mu, whose zeros may carry other signs than mu's.
-        union[t.union_diagonal] -= np.ones(1, dtype=np.complex128) * mu
-        zeros = np.flatnonzero(union == 0)
-        shifted = scipy.sparse.csr_matrix(
-            (
-                np.delete(union, zeros),
-                np.delete(t.union_indices, zeros),
-                t.union_indptr - np.searchsorted(zeros, t.union_indptr).astype(np.int32),
-            ),
-            shape=(n, n),
-        )
-        shifted_norm = float(
-            np.bincount(shifted.indices, weights=np.abs(shifted.data), minlength=n).max()
-        )
-        cached = gen._operators[key] = _Operator(norm, mu, shifted, shifted_norm)
+        with _BUILD_LOCK:
+            cached = gen._operators.get(key)
+            if cached is None:
+                cached = gen._operators[key] = _build(gen, layout, n_max, parity)
     return cached
 
 
+def _build(gen: GeneratorSpec, layout: ModeLayout, n_max: int, parity: tuple[int, ...]):
+    """The ``_Operator`` of ``_prepared``."""
+    if gen.mode_count != layout.mode_count:
+        raise ValueError("generator and layout have different mode counts")
+    t = _template(layout, n_max, parity, *gen._pattern)
+    coefficients = np.concatenate((gen.h.take(t.h_entries), gen.g.take(t.g_entries)))
+    products = np.repeat(coefficients, t.block_sizes) * t.amplitude
+    terms = np.concatenate((products, np.conjugate(products[t.pair_start :]), [0j]))
+    terms = terms.take(t.order)
+    data = terms[: t.rows.size]
+    start = data.size
+    for entries in t.duplicates:
+        data[entries] += terms[start : start + entries.size]
+        start += entries.size
+    # -1j * 0j is +0j: the added diagonal zeros add nothing to the column
+    # sums of A.
+    union = data * -1j
+    n = t.diagonal.size
+    norm = float(np.bincount(t.cols, weights=np.abs(union), minlength=n).max())
+    trace = np.zeros(n, dtype=np.complex128)
+    trace += union[t.diagonal]
+    mu = trace.sum() / float(n)
+    # mu I holds 1 * mu, whose zeros may carry other signs than mu's.
+    union[t.diagonal] -= np.ones(1, dtype=np.complex128) * mu
+    shifted_norm = float(np.bincount(t.cols, weights=np.abs(union), minlength=n).max())
+    return _Operator(norm, mu, union, t.rows, t.cols, shifted_norm)
+
+
+def _product(op: _Operator, b: np.ndarray) -> np.ndarray:
+    """(A - mu I) b, each row's terms added in column order to +0.
+
+    The terms are rounded as ``complex * complex`` (``_cmul``) and
+    ``np.add.at`` adds them one by one: the bits of scipy's CSR product.
+    """
+    out = np.zeros(b.size, dtype=np.complex128)
+    np.add.at(out, op.rows, _cmul(op.shifted, b.take(op.cols)))
+    return out
+
+
 @functools.cache
-def _shell_mask(layout: ModeLayout) -> np.ndarray:
-    """Basis states with some mode within two levels of the cutoff (read-only)."""
-    mask = np.any(_occupations(layout) >= layout.cutoff - 1, axis=0)
+def _shell_mask(layout: ModeLayout, n_max: int, parity: tuple[int, ...]) -> np.ndarray:
+    """Sector states within two levels of the cutoff in some mode, or of N_max in total.
+
+    Read-only.
+    """
+    occ = layout.occupations_of(_sector(layout, n_max, parity))
+    mask = np.any(occ >= layout.cutoff - 1, axis=1) | (occ.sum(axis=1) >= n_max - 1)
     mask.flags.writeable = False
     return mask
 
@@ -455,19 +540,20 @@ def _taylor_degree(norm: float) -> tuple[int, int]:
     return m, steps[m]
 
 
-def _taylor_step(A, b: np.ndarray, t: float, mu: complex, m_star: int, s: int) -> np.ndarray:
-    """exp(t (A + mu I)) b by ``s`` truncated Taylor series of degree <= ``m_star``.
+def _taylor_step(op: _Operator, b: np.ndarray, t: float, m_star: int, s: int) -> np.ndarray:
+    """exp(t A) b by ``s`` truncated Taylor series of degree <= ``m_star``.
 
-    Algorithm 3.2 of Al-Mohy & Higham (2011) on the shifted operator A;
-    each series stops early once two successive terms are negligible.
+    Algorithm 3.2 of Al-Mohy & Higham (2011) on the shifted operator
+    A - mu I; each series stops early once two successive terms are
+    negligible.
     """
     f = b
-    eta = np.exp(t * mu / float(s))
+    eta = np.exp(t * op.mu / float(s))
     for _ in range(s):
         c1 = np.abs(b).max()
         for j in range(m_star):
             coeff = t / float(s * (j + 1))
-            b = coeff * (A @ b)
+            b = coeff * _product(op, b)
             c2 = np.abs(b).max()
             f = f + b
             if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
@@ -482,7 +568,7 @@ def _taylor_sweep(op: _Operator, v: np.ndarray, start: float, stop: float, num: 
     """exp(theta A) v at ``num`` equally spaced thetas from ``start`` to ``stop``.
 
     Algorithm 5.2 of Al-Mohy & Higham (2011) for one vector, as
-    ``expm_multiply`` runs it on ``op.shifted``: one Taylor step to
+    ``expm_multiply`` runs it on A - mu I (``_product``): one Taylor step to
     ``start``, then either a step per grid point (at most ``s`` points)
     or blocks of grid points that each share one set of Taylor terms
     K_p = (h A)^p / p! of their first point, computed once per block.
@@ -492,15 +578,14 @@ def _taylor_sweep(op: _Operator, v: np.ndarray, start: float, stop: float, num: 
     q = num - 1
     t0 = samples[0]
     span_norm = (samples[q] - t0) * op.shifted_norm
-    A, mu = op.shifted, op.mu
     m_star, s = _taylor_degree(span_norm)
     out = np.empty((num, v.size), dtype=np.complex128)
-    out[0] = v if t0 == 0 else _taylor_step(A, v, t0, mu, m_star, s)
+    out[0] = v if t0 == 0 else _taylor_step(op, v, t0, m_star, s)
     if q <= s:
         if span_norm != 0:
             m_star, s = _taylor_degree((1.0 / q) * span_norm)
         for k in range(q):
-            out[k + 1] = _taylor_step(A, out[k], h, mu, m_star, s)
+            out[k + 1] = _taylor_step(op, out[k], h, m_star, s)
         return out
     d = q // s
     for first in range(0, q, d):
@@ -511,7 +596,7 @@ def _taylor_sweep(op: _Operator, v: np.ndarray, start: float, stop: float, num: 
             c1 = term_norms[0]
             for p in range(1, m_star + 1):
                 if p == len(terms):
-                    terms.append(h * (A @ terms[p - 1]) / float(p))
+                    terms.append(h * _product(op, terms[p - 1]) / float(p))
                     term_norms.append(np.abs(terms[p]).max())
                 coeff = float(k**p)
                 f = f + coeff * terms[p]
@@ -519,39 +604,53 @@ def _taylor_sweep(op: _Operator, v: np.ndarray, start: float, stop: float, num: 
                 if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
                     break
                 c1 = c2
-            out[first + k] = np.exp(k * h * mu) * f
+            out[first + k] = np.exp(k * h * op.mu) * f
     return out
 
 
 def _propagation(gen: GeneratorSpec, state: StateVector):
-    """The dense input and a sweep of exp(-i theta H)|state>.
+    """The state's sector, its vector there and a sweep of exp(-i theta H)|state>.
 
-    -iH and the shell mask come from their caches (the generator's
-    operators, see ``GeneratorSpec``, and ``_shell_mask``), so this only
-    densifies and checks the state.  ``sweep(start, stop, num)`` returns
-    the evolved vectors at the ``num`` equally spaced thetas from
-    ``start`` to ``stop`` (endpoint included) as the rows of one array,
-    from one ``_taylor_sweep``: the interval algorithm of Al-Mohy &
-    Higham (2011, section 5) costs about as much as a single evolution.
-    A sweep whose |stop - start| * ||H||_1 passes ``SWEEP_NORM_BUDGET``
-    is refused before it starts.  The input and every evolved vector are
-    held to the boundary-shell budget ``SHELL_BUDGET``.
+    The sector (``_sector_of``), -iH on it and its shell mask come from
+    their caches (the generator's operators, see ``GeneratorSpec``,
+    ``_sector`` and ``_shell_mask``), so this only places the state's
+    amplitudes at their sector indices and checks them.  ``sweep(start,
+    stop, num)`` returns the evolved vectors at the ``num`` equally
+    spaced thetas from ``start`` to ``stop`` (endpoint included) as the
+    rows of one array, from one ``_taylor_sweep``: the interval algorithm
+    of Al-Mohy & Higham (2011, section 5) costs about as much as a single
+    evolution.  A sweep whose |stop - start| * ||H||_1 passes
+    ``SWEEP_NORM_BUDGET`` is refused before it starts.  The input and
+    every evolved vector are held to the boundary-shell budget
+    ``SHELL_BUDGET``.
     """
-    op = _prepared(gen, state.layout)
-    shell = _shell_mask(state.layout)
-    v0 = state.to_dense()
+    key = _sector_of(state)
+    op = _prepared(gen, state.layout, *key)
+    sector = _sector(state.layout, *key)
+    shell = _shell_mask(state.layout, *key)
+    v0 = np.zeros(sector.size, dtype=np.complex128)
+    v0[np.searchsorted(sector, state.ranks)] = state.amplitudes
     _check_shell_weight(v0, shell)
 
     def sweep(start: float, stop: float, num: int) -> np.ndarray:
         # The interval algorithm assumes start <= stop, so run it ascending.
-        lo, hi = min(start, stop), max(start, stop)
+        # A NaN end fails the comparison and stays in lo, whose span is NaN.
+        ascending = start <= stop
+        lo, hi = (start, stop) if ascending else (stop, start)
         _check_sweep_norm(op, lo, hi)
         out = _taylor_sweep(op, v0, lo, hi, num)
         for vec in out:
             _check_shell_weight(vec, shell)
-        return out if start <= stop else out[::-1]
+        return out if ascending else out[::-1]
 
-    return v0, sweep
+    return sector, v0, sweep
+
+
+def _boxed(vec: np.ndarray, layout: ModeLayout, sector: np.ndarray) -> np.ndarray:
+    """A sector vector scattered into the dense (cutoff + 1)^M box of ``layout``."""
+    box = np.zeros(layout.basis_size, dtype=np.complex128)
+    box[sector] = vec
+    return box
 
 
 def _check_sweep_norm(op: _Operator, lo: float, hi: float) -> None:
@@ -563,22 +662,6 @@ def _check_sweep_norm(op: _Operator, lo: float, hi: float) -> None:
             f"{op.norm:.3e} exceeds the budget {SWEEP_NORM_BUDGET:.0e}; "
             "use a smaller step"
         )
-
-
-def evolve_state(gen: GeneratorSpec, state: StateVector, theta: float) -> StateVector:
-    """Apply the exact propagator to a sparse state, monitoring the boundary shell.
-
-    One Taylor step from 0 to ``theta`` of either sign, its degree and step
-    count set by |theta| ||A - mu I||_1: the step a sweep from 0 makes.
-    """
-    v0, _ = _propagation(gen, state)
-    op = _prepared(gen, state.layout)
-    lo, hi = (0.0, theta) if theta >= 0.0 else (theta, 0.0)  # a NaN theta fails the check
-    _check_sweep_norm(op, lo, hi)
-    m_star, s = _taylor_degree((hi - lo) * op.shifted_norm)
-    psi = _taylor_step(op.shifted, v0, theta, op.mu, m_star, s)
-    _check_shell_weight(psi, _shell_mask(state.layout))
-    return StateVector.from_dense(state.layout, psi)
 
 
 @dataclass(frozen=True)
@@ -618,7 +701,7 @@ def qfi_fidelity_pure(
     _check_step("dtheta", dtheta)
     if not state.is_normalized(1e-9):
         raise ValueError("input state must be normalized")
-    v0, sweep = _propagation(gen, state)
+    _, v0, sweep = _propagation(gen, state)
     _, psi_fine, psi_coarse = sweep(0.0, dtheta, 3)
 
     def estimate(psi_h: np.ndarray, h: float) -> float:
@@ -677,17 +760,23 @@ def qfi_fidelity_mixed(
     The reduced-state fidelity is not even in theta, so the estimates at
     +h and -h are averaged, which cancels its odd terms, before the
     Richardson step.  One sweep covers [-dtheta, dtheta] in five points.
+    The reduced states are taken in the dense box of the layout, within
+    ``DENSE_DIM_BUDGET``.
     """
     _check_step("dtheta", dtheta)
     if not state.is_normalized(1e-9):
         raise ValueError("input state must be normalized")
     keep.validate_for(state.layout)
-    v0, sweep = _propagation(gen, state)
-    sqrt_rho0 = _psd_sqrt(_reduced_dense(v0, state.layout, keep))
+    sector, v0, sweep = _propagation(gen, state)
+
+    def reduced(vec: np.ndarray) -> np.ndarray:
+        return _reduced_dense(_boxed(vec, state.layout, sector), state.layout, keep)
+
+    sqrt_rho0 = _psd_sqrt(reduced(v0))
     minus_h, minus_half, plus_half, plus_h = sweep(-dtheta, dtheta, 5)[_OFF_CENTER]
 
     def one_sided(psi_h: np.ndarray, h: float) -> float:
-        rho_h = _reduced_dense(psi_h, state.layout, keep)
+        rho_h = reduced(psi_h)
         fidelity = _fidelity_from_root(sqrt_rho0, rho_h)
         return 8.0 * (1.0 - math.sqrt(min(fidelity, 1.0))) / h**2
 
@@ -742,7 +831,9 @@ def derivative_states(
     omitted).  Richardson extrapolation removes the leading O(h^2)
     finite-difference error.  psi1 and rho1 share one five-point sweep
     over [-dtheta, dtheta]; rho2 makes its own over [-dtheta2, dtheta2]
-    when it is first read.
+    when it is first read.  psi1 is read off the state's sector; rho1
+    and rho2 are taken in the dense box of the layout, within
+    ``DENSE_DIM_BUDGET``.
     """
     _check_step("dtheta", dtheta)
     _check_step("dtheta2", dtheta2)
@@ -750,11 +841,11 @@ def derivative_states(
     keep = keep if keep is not None else ModeSubset.of(range(layout.mode_count))
     keep.validate_for(layout)
     sub_layout = ModeLayout(len(keep.indices), layout.cutoff)
-    v0, sweep = _propagation(gen, state)
+    sector, v0, sweep = _propagation(gen, state)
     psi = sweep(-dtheta, dtheta, 5)[_OFF_CENTER]
 
     def reduced(vectors) -> list[np.ndarray]:
-        return [_reduced_dense(vec, layout, keep) for vec in vectors]
+        return [_reduced_dense(_boxed(vec, layout, sector), layout, keep) for vec in vectors]
 
     def rho1() -> DensityOperator:
         rho = _first_difference(reduced(psi), dtheta)
@@ -762,12 +853,12 @@ def derivative_states(
 
     def rho2() -> DensityOperator:
         rho_h = reduced(sweep(-dtheta2, dtheta2, 5)[_OFF_CENTER])
-        rho_0 = _reduced_dense(v0, layout, keep)
+        rho_0 = reduced([v0])[0]
         rho = _second_difference(rho_h, rho_0, dtheta2)
         return DensityOperator(sub_layout, _hermitize(rho))
 
     psi1 = _first_difference(psi, dtheta)
-    return DerivativeStates(StateVector.from_dense(layout, psi1), rho1, rho2)
+    return DerivativeStates(StateVector._from_ranks(layout, sector, psi1), rho1, rho2)
 
 
 def _first_difference(f, h: float) -> np.ndarray:
@@ -814,8 +905,9 @@ def coherent_state(layout: ModeLayout, mode: int, alpha: complex) -> StateVector
         log_size = levels * math.log(abs(alpha)) - 0.5 * log_factorial
         amplitudes = np.exp(log_size - log_size.max() + 1j * cmath.phase(alpha) * levels)
     vec = np.zeros(dim, dtype=np.complex128)
-    vec[levels * _place_values(layout.cutoff, layout.mode_count)[mode]] = amplitudes
+    index = levels * _place_values(layout.cutoff, layout.mode_count)[mode]
+    vec[index] = amplitudes
     vec /= np.linalg.norm(vec)
-    _check_shell_weight(vec, _shell_mask(layout))
+    _check_shell_weight(vec[index], levels >= layout.cutoff - 1)
     return StateVector.from_dense(layout, vec)
 

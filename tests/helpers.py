@@ -99,23 +99,38 @@ def dense_hamiltonian_matrix(gen: GeneratorSpec, layout: ModeLayout) -> np.ndarr
     return H.toarray()
 
 
-def coo_hamiltonian(gen: GeneratorSpec, layout: ModeLayout) -> types.SimpleNamespace:
-    """A = -iH, its shift and 1-norms by a COO build and scipy arithmetic.
+def box_sector(layout: ModeLayout) -> tuple[int, tuple[int, ...]]:
+    """(N_max, parity classes) of the sector that holds every state of ``layout``."""
+    return layout.mode_count * layout.cutoff, (0, 1)
 
-    H is assembled term by term as COO and converted to CSR, which sums
-    each diagonal's terms, and A is ``-1j * H``; mu comes from
-    ``A.trace()``, A - mu I from a scipy subtraction and both 1-norms from
-    column sums.  The oracle's ``_Operator`` must reproduce every byte of
-    ``norm``, ``mu``, ``shifted`` and ``shifted_norm``
+
+def coo_hamiltonian(
+    gen: GeneratorSpec, layout: ModeLayout, sector: tuple[int, tuple[int, ...]] | None = None
+) -> types.SimpleNamespace:
+    """A = -iH on a sector, its shift and 1-norms by a COO build and scipy arithmetic.
+
+    ``sector`` is an (N_max, parity classes) key of ``oracle._sector``, the
+    whole layout when omitted.  H is assembled term by term as COO on the
+    sector's indices, with the pair creations past N_max left out, and
+    each entry's terms are added in COO order before scipy converts it to
+    CSR; A is ``-1j * H``, mu comes from ``A.trace()``, A - mu I from a
+    scipy subtraction and both 1-norms from column sums.  The oracle's
+    ``_Operator`` must reproduce ``norm``, ``mu``, ``shifted_norm`` and
+    every nonzero entry of ``shifted`` byte for byte
     (``tests/test_oracle.py``); ``matrix`` is A, which the oracle never
     builds.
     """
+    n_max, parity = sector or box_sector(layout)
+    ranks = oracle._sector(layout, n_max, parity)
     cutoff = layout.cutoff
-    occ = oracle._occupations(layout)
+    occ = layout.occupations_of(ranks).T
+    pair_room = occ.sum(axis=0) + 2 <= n_max
     stride = _place_values(cutoff, layout.mode_count)
-    rows = [np.zeros(0, dtype=np.intp)]
-    cols = [np.zeros(0, dtype=np.intp)]
-    vals = [np.zeros(0, dtype=np.complex128)]
+
+    def index(src, shift):
+        return np.searchsorted(ranks, ranks[src] + shift)
+
+    rows, cols, vals = [], [], []
     for m, n in zip(*np.nonzero(gen.h)):
         if m == n:
             src = np.flatnonzero(occ[n])
@@ -123,25 +138,34 @@ def coo_hamiltonian(gen: GeneratorSpec, layout: ModeLayout) -> types.SimpleNames
             amplitude = occ[n, src]
         else:
             src = np.flatnonzero((occ[n] > 0) & (occ[m] < cutoff))
-            rows.append(src + stride[m] - stride[n])
+            rows.append(index(src, stride[m] - stride[n]))
             amplitude = np.sqrt(occ[n, src] * (occ[m, src] + 1.0))
         cols.append(src)
         vals.append(gen.h[m, n] * amplitude)
     for p, q in zip(*np.nonzero(np.triu(gen.g))):
         if p == q:
-            src = np.flatnonzero(occ[p] + 2 <= cutoff)
+            src = np.flatnonzero((occ[p] + 2 <= cutoff) & pair_room)
             amplitude = 0.5 * np.sqrt((occ[p, src] + 1.0) * (occ[p, src] + 2.0))
         else:
-            src = np.flatnonzero((occ[p] < cutoff) & (occ[q] < cutoff))
+            src = np.flatnonzero((occ[p] < cutoff) & (occ[q] < cutoff) & pair_room)
             amplitude = np.sqrt((occ[p, src] + 1.0) * (occ[q, src] + 1.0))
-        target = src + stride[p] + stride[q]
+        target = index(src, stride[p] + stride[q])
         value = gen.g[p, q] * amplitude
         rows += [target, src]
         cols += [src, target]
         vals += [value, value.conj()]
-    dim = layout.basis_size
+    entries: dict[tuple[int, int], complex] = {}
+    for key, value in zip(
+        zip(*(np.concatenate([np.zeros(0, np.intp), *part]).tolist() for part in (rows, cols))),
+        np.concatenate([np.zeros(0, np.complex128), *vals]).tolist(),
+    ):
+        entries[key] = entries[key] + value if key in entries else value
+    dim = ranks.size
     H = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (
+            np.array(list(entries.values()), dtype=np.complex128),
+            np.array(list(entries.keys()), dtype=np.intp).reshape(-1, 2).T,
+        ),
         shape=(dim, dim),
     ).tocsr()
     A = -1j * H
@@ -156,9 +180,14 @@ def coo_hamiltonian(gen: GeneratorSpec, layout: ModeLayout) -> types.SimpleNames
     )
 
 
-def dense_propagator(gen: GeneratorSpec, theta: float, layout: ModeLayout) -> np.ndarray:
-    """Dense U(theta) = exp(-i theta H) from the COO reference's sparse -iH."""
-    return scipy.linalg.expm(theta * coo_hamiltonian(gen, layout).matrix.toarray())
+def dense_propagator(
+    gen: GeneratorSpec,
+    theta: float,
+    layout: ModeLayout,
+    sector: tuple[int, tuple[int, ...]] | None = None,
+) -> np.ndarray:
+    """Dense U(theta) = exp(-i theta H) from the COO reference's sparse -iH on a sector."""
+    return scipy.linalg.expm(theta * coo_hamiltonian(gen, layout, sector).matrix.toarray())
 
 
 def extract_bogoliubov(gen: GeneratorSpec, theta: float) -> tuple[np.ndarray, np.ndarray]:

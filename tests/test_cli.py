@@ -188,8 +188,14 @@ def test_dense_budget_only_where_dense_arrays_are_made(tmp_path, capsys):
     state = write_json(tmp_path / "s6.json", [{"occ": [2, 0, 0, 0, 0, 0], "re": 1.0}])
     assert cli_main(["qfi", model, "--state", state]) == 0
     assert json.loads(capsys.readouterr().out)["qfi"] == pytest.approx(8.0)
-    # scan runs the oracle, whose Hamiltonian is dense-dimensional.
-    assert cli_main(["scan", model, "--n", "0..1"]) == 3
+    # scan runs the oracle on each point's sector: up to 1,106 of the 8^6
+    # states at cutoff 7.
+    assert cli_main(["scan", model, "--n", "0..1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    # On 12 modes the sector of |2, 0, ...> (even totals up to 8) holds
+    # 89,402 states: past the budget.
+    twelve = write_json(tmp_path / "bs12.json", {**six, "modes": 12})
+    assert cli_main(["scan", twelve, "--n", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "dense-dimension budget" in _single_error_line(captured.err)["message"]
@@ -639,7 +645,27 @@ def test_command_builds_the_hamiltonian_once(command, threads, tmp_path, monkeyp
     assert cli_main(argv) == 0
     if command == "scan":
         assert len(capsys.readouterr().out.splitlines()) == 5
-    assert len(builds) == 1
+    # One build per sector: the scan's (n, m) = (0, 0), (1, 1) and the two
+    # odd points (0, 1), (1, 0) have three.
+    assert len(builds) == {"scan": 3, "oracle-compare": 1}[command]
+
+
+def test_pair_creation_past_the_total_shell_exits_three(tmp_path, capsys):
+    tms = write_json(
+        tmp_path / "tms.json", {"builtin": "two_mode_squeezer", "k": 0, "kprime": 1, "modes": 2}
+    )
+    vacuum = write_json(tmp_path / "s00.json", [{"occ": [0, 0], "re": 1.0}])
+    argv = ["oracle-compare", tms, "--state", vacuum, "--dtheta", "0.05"]
+    # Cutoff 6: the sector holds totals 0-6 and no mode reaches the mode
+    # shell at 5, but the pairs reach total 6, the total shell.
+    assert cli_main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = _single_error_line(captured.err)
+    assert error["error"] == "BudgetError"
+    assert error["message"].endswith("raise the cutoff")
+    assert cli_main([*argv, "--cutoff", "12"]) == 0
+    assert json.loads(capsys.readouterr().out)["cutoff"] == 12
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -17,7 +17,6 @@ from bogofisher import (
     beam_splitter_generator,
     coherent_state,
     derivative_states,
-    evolve_state,
     generator_from_model,
     independent_squeezers_generator,
     qfi_fidelity_mixed,
@@ -36,6 +35,7 @@ from bogofisher import oracle
 from bogofisher.cli import cli_main
 
 from helpers import (
+    box_sector,
     coo_hamiltonian,
     dense_hamiltonian_matrix,
     dense_propagator,
@@ -57,28 +57,73 @@ def test_exact_unitary_at_zero_is_identity():
     assert np.max(np.abs(np.linalg.norm(u, axis=0) - 1.0)) < 1e-12
 
 
+def _random_sector(rng, layout):
+    """An (N_max, parity classes) key with N_max of an allowed parity."""
+    parity = [(0,), (1,), (0, 1)][int(rng.integers(3))]
+    n_max = int(rng.integers(1, layout.mode_count * layout.cutoff + 1))
+    return n_max - (n_max % 2 not in parity), parity
+
+
+def _dense(op):
+    """The operator A = (A - mu I) + mu I as a dense matrix."""
+    dim = op.rows[-1] + 1
+    A = np.zeros((dim, dim), dtype=np.complex128)
+    A[op.rows, op.cols] = op.shifted
+    return A + op.mu * np.eye(dim)
+
+
 def test_hamiltonian_matches_kron_ladders():
     rng = np.random.default_rng(55)
     for modes, cutoff in ((1, 10), (2, 7), (3, 5)):
         layout = ModeLayout(modes, cutoff)
-        for _ in range(3):
+        for sector in (box_sector(layout), _random_sector(rng, layout)):
             gen = random_generator(rng, modes, 0.7)
-            op = oracle._prepared(gen, layout)
-            A = op.shifted.toarray() + op.mu * np.eye(layout.basis_size)
-            expected = -1j * dense_hamiltonian_matrix(gen, layout)
-            assert np.max(np.abs(A - expected)) < 1e-12
+            ranks = oracle._sector(layout, *sector)
+            # P H P on the sector is the block of the truncated H on its states.
+            expected = -1j * dense_hamiltonian_matrix(gen, layout)[np.ix_(ranks, ranks)]
+            assert np.max(np.abs(_dense(oracle._prepared(gen, layout, *sector)) - expected)) < 1e-12
 
 
-def _assert_matches_coo_reference(gen, layout):
-    """Every ``_Operator`` field equals the COO build byte for byte."""
-    ref = coo_hamiltonian(gen, layout)
-    op = oracle._prepared(gen, layout)
-    got, want = op.shifted, ref.shifted
-    assert got.format == want.format == "csr"
-    for name in ("indptr", "indices", "data"):
-        got_array, want_array = getattr(got, name), getattr(want, name)
-        assert got_array.dtype == want_array.dtype, name
-        assert got_array.tobytes() == want_array.tobytes(), name
+def test_sector_holds_the_states_up_to_n_max_of_its_parities():
+    rng = np.random.default_rng(56)
+    for modes, cutoff in ((1, 6), (2, 5), (3, 4), (4, 3)):
+        layout = ModeLayout(modes, cutoff)
+        occ = layout.occupations_of(np.arange(layout.basis_size))
+        for n_max, parity in (box_sector(layout), *(_random_sector(rng, layout) for _ in range(4))):
+            totals = occ.sum(axis=1)
+            expected = np.flatnonzero((totals <= n_max) & np.isin(totals % 2, parity))
+            sector = oracle._sector(layout, n_max, parity)
+            assert sector.dtype == np.int64 and not sector.flags.writeable
+            assert np.array_equal(sector, expected)
+
+
+def test_sector_refused_past_the_dense_budget_before_it_is_built():
+    # 10^9 levels of one mode: refused before any array of that length.
+    with pytest.raises(BudgetError, match="dense-dimension budget"):
+        oracle._sector(ModeLayout(2, 10**9), 10**9, (0,))
+    # 75,582 states of total 8 on 12 modes.
+    with pytest.raises(BudgetError, match="dense-dimension budget"):
+        oracle._sector(ModeLayout(12, 8), 8, (0,))
+    # Totals 8, 6, 4, 2 and 0 on 10 modes, less the 10 states with 8 in one mode.
+    assert oracle._sector(ModeLayout(10, 7), 8, (0,)).size == 24_310 - 10 + 5_005 + 715 + 55 + 1
+
+
+def _assert_matches_coo_reference(gen, layout, sector):
+    """Every ``_Operator`` field equals the COO build byte for byte.
+
+    The COO build's scipy subtraction drops exact zeros; the operator
+    keeps its pattern, so its nonzero entries are compared.
+    """
+    ref = coo_hamiltonian(gen, layout, sector)
+    op = oracle._prepared(gen, layout, *sector)
+    want = ref.shifted
+    assert want.format == "csr" and want.has_canonical_format
+    nonzero = op.shifted != 0
+    want_rows = np.repeat(np.arange(want.shape[0]), np.diff(want.indptr))
+    assert np.array_equal(op.rows[nonzero], want_rows)
+    assert np.array_equal(op.cols[nonzero], want.indices)
+    assert op.shifted.dtype == want.data.dtype
+    assert op.shifted[nonzero].tobytes() == want.data.tobytes()
     assert op.norm == ref.norm
     assert op.shifted_norm == ref.shifted_norm
     assert np.complex128(op.mu).tobytes() == np.complex128(ref.mu).tobytes()
@@ -86,10 +131,11 @@ def _assert_matches_coo_reference(gen, layout):
 
 def test_operator_matches_coo_build_bit_for_bit():
     rng = np.random.default_rng(18)
-    for _ in range(60):
+    for k in range(60):
         modes = int(rng.integers(2, 5))
         layout = ModeLayout(modes, int(rng.integers(4, 9)))
-        _assert_matches_coo_reference(random_generator(rng, modes, 0.7), layout)
+        sector = box_sector(layout) if k % 4 == 0 else _random_sector(rng, layout)
+        _assert_matches_coo_reference(random_generator(rng, modes, 0.7), layout, sector)
     layout = ModeLayout(3, 6)
     zero = np.zeros((3, 3))
     for gen in (
@@ -101,29 +147,32 @@ def test_operator_matches_coo_build_bit_for_bit():
         GeneratorSpec(np.diag([1.0, -1.0, 0.0]), zero),
         GeneratorSpec(zero, zero),
     ):
-        _assert_matches_coo_reference(gen, layout)
+        for sector in (box_sector(layout), (8, (0,)), (7, (1,)), (5, (0, 1))):
+            _assert_matches_coo_reference(gen, layout, sector)
 
 
 def test_template_shared_per_layout_and_nonzero_pattern():
     rng = np.random.default_rng(19)
-    layout = ModeLayout(3, 5)
+    layout, sector = ModeLayout(3, 5), (8, (0,))
     first, second = (random_generator(rng, 3, 0.7) for _ in range(2))
-    oracle._prepared(first, layout)
+    oracle._prepared(first, layout, *sector)
     before = oracle._template.cache_info()
-    _assert_matches_coo_reference(second, layout)
+    _assert_matches_coo_reference(second, layout, sector)
     after = oracle._template.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
     assert after.hits > before.hits
-    shared = oracle._template(layout, *first._pattern)
-    assert oracle._template(layout, *second._pattern) is shared
-    # Exact zeros in h and g give a second pattern on the same layout.
+    shared = oracle._template(layout, *sector, *first._pattern)
+    assert oracle._template(layout, *sector, *second._pattern) is shared
+    # Exact zeros in h and g give a second pattern on the same sector.
     h, g = first.h.copy(), first.g.copy()
     h[0, 2] = h[2, 0] = h[1, 1] = 0.0
     g[0, 1] = g[1, 0] = g[2, 2] = 0.0
     sparse = GeneratorSpec(h, g)
-    _assert_matches_coo_reference(sparse, layout)
-    assert oracle._template(layout, *sparse._pattern) is not shared
+    _assert_matches_coo_reference(sparse, layout, sector)
+    assert oracle._template(layout, *sector, *sparse._pattern) is not shared
     assert oracle._template.cache_info().misses == before.misses + 1
+    # Another sector of the same layout has its own template.
+    assert oracle._template(layout, 7, (1,), *first._pattern) is not shared
 
 
 def test_exact_unitary_group_property():
@@ -139,50 +188,73 @@ def test_squeezed_vacuum_overlap():
     gen = squeezer_generator(0, 1)
     layout = ModeLayout(1, 20)
     theta = 0.1
-    vac = StateVector.vacuum(layout)
-    evolved = evolve_state(gen, vac, theta)
-    overlap = abs(evolved.amplitude([0])) ** 2
+    _, _, sweep = oracle._propagation(gen, StateVector.vacuum(layout))
+    # The vacuum is the first state of its sector.
+    overlap = abs(sweep(0.0, theta, 2)[1][0]) ** 2
     assert overlap == pytest.approx(1.0 / math.cosh(theta), abs=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.08, -0.08, 0.0])
-def test_evolve_state_matches_exact_unitary(theta):
+def test_sweep_matches_exact_unitary(theta):
     rng = np.random.default_rng(57)
     layout = ModeLayout(2, 9)
     gen = random_generator(rng, 2, 0.5)
     state = random_state(rng, layout, modes=[0, 1], terms=2, max_occ=2)
-    expected = dense_propagator(gen, theta, layout) @ state.to_dense()
-    evolved = evolve_state(gen, state, theta).to_dense()
-    assert np.max(np.abs(evolved - expected)) < 1e-12
+    _, v0, sweep = oracle._propagation(gen, state)
+    expected = dense_propagator(gen, theta, layout, oracle._sector_of(state)) @ v0
+    assert np.max(np.abs(sweep(0.0, theta, 2)[1] - expected)) < 1e-12
 
 
-@pytest.mark.parametrize("theta", [0.05, -0.05])
-def test_evolve_state_takes_one_taylor_step_for_either_sign(monkeypatch, theta):
-    rng = np.random.default_rng(57)
-    layout = ModeLayout(2, 9)
-    gen = random_generator(rng, 2, 0.5)
-    state = random_state(rng, layout, modes=[0, 1], terms=2, max_occ=2)
-    # The answer of a two-point sweep from 0, which steps to theta first
-    # when theta < 0 and then back to 0.
-    _, sweep = oracle._propagation(gen, state)
-    swept = sweep(0.0, theta, 2)[1]
-    steps = []
-    real_step = oracle._taylor_step
+@pytest.mark.parametrize("modes, cutoff", [(1, 10), (2, 9), (3, 8), (4, 8)])
+def test_sector_sweep_matches_the_whole_layout(modes, cutoff):
+    rng = np.random.default_rng(70 + modes)
+    layout = ModeLayout(modes, cutoff)
+    whole = box_sector(layout)
+    for k in range(4):
+        model = random_model(rng, modes)
+        if k % 2:  # free-evolution phases G != 1
+            model = rephased(model, rng.uniform(0.0, 2.0 * np.pi, modes))
+        gen = generator_from_model(model)
+        state = random_state(
+            rng, layout, modes=range(min(modes, 2)), terms=int(rng.integers(1, 4)), max_occ=2
+        )
+        sector, v0, sweep = oracle._propagation(gen, state)
+        assert sector.size < layout.basis_size or modes == 1
+        box = oracle._taylor_sweep(
+            oracle._prepared(gen, layout, *whole), state.to_dense(), -1e-3, 1e-3, 5
+        )
+        assert np.max(np.abs(sweep(-1e-3, 1e-3, 5) - box[:, sector])) < 1e-12
+        # What the sector leaves out weighs less than the shell budget.
+        outside = np.ones(layout.basis_size, dtype=bool)
+        outside[sector] = False
+        assert np.sum(np.abs(box[:, outside]) ** 2, axis=1).max() < oracle.SHELL_BUDGET
 
-    def counted(A, b, t, *args):
-        steps.append(t)
-        return real_step(A, b, t, *args)
 
-    monkeypatch.setattr(oracle, "_taylor_step", counted)
-    evolved = evolve_state(gen, state, theta)
-    assert steps == [theta]
-    assert evolved.to_dense().tobytes() == swept.tobytes()
+def test_single_parity_sector_sweeps_as_the_both_parity_sector():
+    rng = np.random.default_rng(75)
+    layout = ModeLayout(3, 6)
+    for parity in (0, 1, 0, 1):
+        gen = random_generator(rng, 3, 0.5)
+        state = random_state(rng, layout, modes=[0, 1], terms=2, max_occ=2, parity=parity)
+        n_max, classes = oracle._sector_of(state)
+        assert classes == (parity,)
+        sector, _, sweep = oracle._propagation(gen, state)
+        both = oracle._sector(layout, n_max, (0, 1))
+        v = np.zeros(both.size, dtype=np.complex128)
+        v[np.searchsorted(both, state.ranks)] = state.amplitudes
+        out = oracle._taylor_sweep(oracle._prepared(gen, layout, n_max, (0, 1)), v, -1e-3, 1e-3, 5)
+        inside = np.isin(both, sector)
+        # H never changes the parity, so the other parity stays exactly empty.
+        assert not np.any(out[:, ~inside])
+        assert np.max(np.abs(out[:, inside] - sweep(-1e-3, 1e-3, 5))) < 1e-13
 
 
-def test_evolve_state_refuses_a_nan_theta():
+def test_sweep_refuses_a_nan_theta():
     state = StateVector.from_occupation(ModeLayout(2, 7), [1, 1])
-    with pytest.raises(BudgetError, match="exceeds the budget"):
-        evolve_state(two_mode_squeezer_generator(0, 1, 2), state, math.nan)
+    _, _, sweep = oracle._propagation(two_mode_squeezer_generator(0, 1, 2), state)
+    for start, stop in ((0.0, math.nan), (math.nan, 0.0)):
+        with pytest.raises(BudgetError, match="exceeds the budget"):
+            sweep(start, stop, 2)
 
 
 def test_qfi_fidelity_pure_negative_step():
@@ -409,12 +481,16 @@ def test_coherent_state_refuses_oversize_dense_vector_before_building_it():
         coherent_state(ModeLayout(1, 10**9), 0, 1.0)
 
 
-def test_evolve_state_budget_violation():
+def test_shell_budget_violation():
     gen = squeezer_generator(0, 1)
     layout = ModeLayout(1, 4)
-    state = StateVector.from_occupation(layout, [3])
-    with pytest.raises(BudgetError):
-        evolve_state(gen, state, 0.3)
+    # An input on the shell is refused before any sweep.
+    with pytest.raises(BudgetError, match="raise the cutoff"):
+        oracle._propagation(gen, StateVector.from_occupation(layout, [3]))
+    # So is a sweep that carries weight onto it: |4> at theta = 0.3.
+    _, _, sweep = oracle._propagation(gen, StateVector.vacuum(layout))
+    with pytest.raises(BudgetError, match="raise the cutoff"):
+        sweep(0.0, 0.3, 2)
 
 
 def test_shell_coupling_small_with_headroom():
@@ -422,7 +498,7 @@ def test_shell_coupling_small_with_headroom():
     layout = ModeLayout(1, 14)
     u = dense_propagator(gen, 1e-3, layout)
     # Amplitude moved from interior states into the two boundary levels.
-    shell = oracle._shell_mask(layout)
+    shell = oracle._shell_mask(layout, *box_sector(layout))
     assert np.linalg.norm(u[np.ix_(shell, ~shell)], ord=2) < 0.05
     assert np.max(np.abs(np.linalg.norm(u, axis=0) - 1.0)) < 1e-12
 
@@ -476,8 +552,15 @@ def _stencil_reference(gen, state, keep_count, dtheta, dtheta2):
     return psi1, rho1, rho2
 
 
+# At cutoff 6 the 3-mode case's rho2 sweep (over +-4e-3) puts 2.9e-10 of
+# weight on totals 6 and 7, the shell of its sector (N_max = 7): rho2 is
+# refused there, and answered at cutoff 7.
+_RHO2_REFUSED = {(3, 6, 2, 1)}
+
+
 @pytest.mark.parametrize(
-    "modes,cutoff,keep_count,max_occ", [(1, 10, 1, 2), (2, 8, 1, 2), (3, 6, 2, 1)]
+    "modes,cutoff,keep_count,max_occ",
+    [(1, 10, 1, 2), (2, 8, 1, 2), (3, 6, 2, 1), (3, 7, 2, 1)],
 )
 def test_derivative_states_match_exact_unitary_stencil(modes, cutoff, keep_count, max_occ):
     # Steps of 1e-3 and 4e-3 keep the round-off that the second difference
@@ -499,7 +582,11 @@ def test_derivative_states_match_exact_unitary_stencil(modes, cutoff, keep_count
     psi1, rho1, rho2 = _stencil_reference(gen, state, keep_count, dtheta, dtheta2)
     assert np.max(np.abs(ders.psi1.to_dense() - psi1)) < 1e-9
     assert np.max(np.abs(ders.rho1.matrix - rho1)) < 1e-9
-    assert np.max(np.abs(ders.rho2.matrix - rho2)) < 1e-9
+    if (modes, cutoff, keep_count, max_occ) in _RHO2_REFUSED:
+        with pytest.raises(BudgetError, match="raise the cutoff"):
+            ders.rho2
+    else:
+        assert np.max(np.abs(ders.rho2.matrix - rho2)) < 1e-9
 
 
 def test_derivative_states_corrections_built_once_on_read(monkeypatch):
@@ -575,7 +662,7 @@ def test_shell_monitor_rejects_non_finite_vector():
     vec[0] = 1.0
     vec[layout.cutoff] = np.nan
     with pytest.raises(BudgetError):
-        oracle._check_shell_weight(vec, oracle._shell_mask(layout))
+        oracle._check_shell_weight(vec, oracle._shell_mask(layout, *box_sector(layout)))
 
 
 _STEP_CALLS = {
@@ -603,12 +690,13 @@ def test_sweep_over_norm_budget_refused_before_expm_multiply(monkeypatch):
 
     gen = two_mode_squeezer_generator(0, 1, 2)
     state = StateVector.from_occupation(ModeLayout(2, 7), [1, 1])
-    norm = oracle._prepared(gen, state.layout).norm
+    norm = oracle._prepared(gen, state.layout, *oracle._sector_of(state)).norm
     monkeypatch.setattr(oracle, "_taylor_sweep", refuse)
     theta = 1.01 * oracle.SWEEP_NORM_BUDGET / norm
+    _, _, sweep = oracle._propagation(gen, state)
     for evolve in (
-        lambda: evolve_state(gen, state, theta),
-        lambda: evolve_state(gen, state, -theta),
+        lambda: sweep(0.0, theta, 2),
+        lambda: sweep(0.0, -theta, 2),
         lambda: qfi_fidelity_pure(gen, state, dtheta=theta),
         lambda: derivative_states(gen, state, dtheta=theta / 2.0),
     ):
@@ -632,12 +720,17 @@ def test_operator_built_once_per_generator_and_truncation(monkeypatch):
     assert qfi_fidelity_pure(gen, state) == first
     derivative_states(gen, state).rho2
     dense_propagator(gen, 0.1, layout)
-    assert builds == [oracle._prepared(gen, layout)]
+    # |1,1> at cutoff 7: the even totals up to 2 + 6.
+    sector = oracle._sector_of(state)
+    assert sector == (8, (0,))
+    assert builds == [oracle._prepared(gen, layout, *sector)]
     qfi_fidelity_pure(gen, StateVector.from_occupation(ModeLayout(2, 8), [1, 1]))
     fresh = two_mode_squeezer_generator(0, 1, 2)
     assert qfi_fidelity_pure(fresh, state) == first
-    assert [op.shifted.shape[0] for op in builds] == [8**2, 9**2, 8**2]
-    assert builds[2] is oracle._prepared(fresh, layout)
+    # 1 + 3 + 5 + 7 + 7 states at cutoff 7; at cutoff 8, N_max = 9 holds no
+    # even total, so it is 8 again: 1 + 3 + 5 + 7 + 9 states.
+    assert [op.rows[-1] + 1 for op in builds] == [23, 25, 23]
+    assert builds[2] is oracle._prepared(fresh, layout, *sector)
 
 
 def test_generator_and_state_mode_counts_must_match():
@@ -646,7 +739,7 @@ def test_generator_and_state_mode_counts_must_match():
     for evolve in (
         lambda: qfi_fidelity_pure(gen, state),
         lambda: derivative_states(gen, state),
-        lambda: evolve_state(gen, state, 0.1),
+        lambda: oracle._propagation(gen, state),
     ):
         with pytest.raises(ValueError, match="^generator and layout have different mode counts$"):
             evolve()
@@ -655,13 +748,18 @@ def test_generator_and_state_mode_counts_must_match():
 def test_kept_operator_norm_and_read_only_shell_mask():
     gen = squeezer_generator(0, 1)
     layout = ModeLayout(1, 6)
-    op = oracle._prepared(gen, layout)
-    assert oracle._prepared(gen, layout) is op
+    op = oracle._prepared(gen, layout, *box_sector(layout))
+    assert oracle._prepared(gen, layout, *box_sector(layout)) is op
     dense = dense_hamiltonian_matrix(gen, layout)
     assert op.norm == pytest.approx(np.max(np.abs(dense).sum(axis=0)))
-    mask = oracle._shell_mask(layout)
-    assert oracle._shell_mask(ModeLayout(1, 6)) is mask
+    mask = oracle._shell_mask(layout, *box_sector(layout))
+    assert oracle._shell_mask(ModeLayout(1, 6), *box_sector(layout)) is mask
     assert not mask.flags.writeable
+    # The shell of a sector also holds its two largest totals: here total 4
+    # alone, as total 3 is odd and no mode reaches 5.
+    two = ModeLayout(2, 6)
+    totals = two.occupations_of(oracle._sector(two, 4, (0,))).sum(axis=1)
+    assert np.array_equal(oracle._shell_mask(two, 4, (0,)), totals == 4)
 
 
 def test_coherent_state_matches_poisson_amplitudes():

@@ -2,8 +2,8 @@
 
 Subcommands: validate, qfi, scan, named, optimize, oracle-compare.
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3
-numerical-budget failure.  Errors are reported as one JSON object on
-stderr.
+numerical-budget failure or out of memory.  Errors are reported as one
+JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -192,7 +192,8 @@ def _cmd_qfi(args) -> int:
         "validity_ok": report.validity_ok,
         "cramer_rao": {
             "nu": args.nu,
-            "delta_theta_bound": report.cramer_rao(args.nu),
+            # inf at zero QFI: written as null.
+            "delta_theta_bound": _finite_or_null(report.cramer_rao(args.nu)),
         },
         "average_n": average_particle_number(state),
         "cutoff": state.layout.cutoff,
@@ -346,6 +347,10 @@ def cli_main(argv: Sequence[str]) -> int:
         return _EXIT_BUDGET
     except (OverflowError, RuntimeWarning) as exc:
         _emit_error(NumericalBreakdownError(f"{exc}; numerical breakdown"))
+        return _EXIT_BUDGET
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed.
+        _emit_error(BudgetError(f"out of memory: {str(exc) or 'allocation failed'}"))
         return _EXIT_BUDGET
     except BogofisherError as exc:  # pragma: no cover - safety net
         _emit_error(exc)

@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: usage and support problems exit 1,
 model format and unitarity failures exit 2, numerical-budget failures
 (cutoff headroom, oracle boundary-shell weight, dense dimension,
-numerical breakdown) exit 3.
+numerical breakdown) exit 3.  A ``MemoryError`` exits 3 as a
+``BudgetError``.
 """
 
 

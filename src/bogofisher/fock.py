@@ -335,14 +335,13 @@ def _unique_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sum_by(slots: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
-    """Complex sums of ``values`` grouped by ``slots``, each added in order from 0.
+    """Complex sums of ``values`` grouped by ``slots``, each added in order from +0.
 
-    ``np.bincount`` adds sequentially, as a Python accumulation loop does;
+    ``np.add.at`` adds sequentially, as a Python accumulation loop does;
     ``np.sum`` adds pairwise and rounds differently.
     """
-    out = np.empty(count, dtype=np.complex128)
-    out.real = np.bincount(slots, values.real, count)
-    out.imag = np.bincount(slots, values.imag, count)
+    out = np.zeros(count, dtype=np.complex128)
+    np.add.at(out, slots, values)
     return out
 
 

@@ -18,9 +18,10 @@ levels of the cutoff in some mode or of N_max in total.
 The oracle gathers one sparse operator per generator and sector,
 A - mu I with A = -iH on the sector and mu its mean diagonal entry (see
 ``GeneratorSpec`` and ``_prepared``).  Its entries are held as row and
-column index arrays sorted by row and column; the several terms of a
-diagonal entry are summed in COO order (one block per h coefficient, in
-the order of its flat index).  The product with a vector is computed
+column index arrays sorted by row and column; the terms of each entry
+are summed by ``fock._sum_by`` in COO order, from +0 (only a diagonal
+entry has several: one per h coefficient, in the order of its flat
+index).  The product with a vector is computed
 in numpy (``_product``): the entries are rounded as ``complex * complex``
 and each row's terms are added one by one from +0, in column order.
 ``_taylor_sweep`` applies U(theta) to a state vector with the
@@ -65,6 +66,8 @@ from .fock import (
     _cmul,
     _place_values,
     _reduced_dense,
+    _sum_by,
+    _unique_slots,
 )
 from .perturb import build_generator
 
@@ -241,17 +244,13 @@ class _Template:
     ``block_sizes[k]`` ladder ``amplitude`` values: these products are the
     terms of H, followed by the conjugates of the pair-creation products
     (from ``pair_start`` on), which are the pair-annihilation terms.
-    A zero term follows them.
 
     ``rows`` and ``cols`` are the pattern of A - mu I in sector indices,
     sorted by row and then by column: the entries of H and one diagonal
-    entry per row, at ``diagonal``.  ``order`` gathers the terms into the
-    order in which they are summed: first the leading term of each entry
-    of that pattern (the zero term where H has no entry), then, for
-    k = 1, 2, ..., the k-th further term of each entry listed in
-    ``duplicates[k - 1]``.  Only diagonal entries have more than one
-    term, and they are summed in COO order: one block per h coefficient,
-    in the order of ``h_entries``.  Every array is read-only.
+    entry per row, at ``diagonal``.  Term k is summed into the entry
+    ``slots[k]``; ``fock._sum_by`` adds each entry's terms in COO order
+    from +0.  Only diagonal entries have more than one term: one per h
+    coefficient, in the order of ``h_entries``.  Every array is read-only.
     """
 
     h_entries: np.ndarray
@@ -259,8 +258,7 @@ class _Template:
     block_sizes: np.ndarray
     amplitude: np.ndarray
     pair_start: int
-    order: np.ndarray
-    duplicates: tuple[np.ndarray, ...]
+    slots: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     diagonal: np.ndarray
@@ -277,56 +275,40 @@ def _template(
     each about 40 bytes per nonzero of H.
     """
     dim = _sector(layout, n_max, parity).size
-    amplitude, sizes, rows, cols, term = _coo_terms(layout, n_max, parity, h_entries, g_entries)
-    # Row-major, with the terms of one entry in COO order (lexsort is stable).
-    order = np.lexsort((cols, rows))
-    rows, cols, term = rows[order], cols[order], term[order]
-    # Each entry starts where (row, col) changes; its terms follow it.
-    first = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
-    counts = np.diff(first, append=rows.size)
-    duplicates = [np.flatnonzero(counts > k) for k in range(1, counts.max(initial=1))]
-    entry_keys = rows[first] * dim + cols[first]
-    # A - mu I has a diagonal entry in every row, where H may have none.
-    diagonal_keys = np.arange(dim, dtype=np.int64) * (dim + 1)
-    union_keys = np.union1d(entry_keys, diagonal_keys)
-    position = np.searchsorted(union_keys, entry_keys)
-    pair_start = sum(sizes[: len(h_entries)])
-    # Where H has no entry, the leading term is the zero after H's terms.
-    leading = np.full(union_keys.size, 2 * amplitude.size - pair_start, dtype=np.intp)
-    leading[position] = term[first]
+    amplitude, sizes, rows, cols = _coo_terms(layout, n_max, parity, h_entries, g_entries)
+    # A - mu I has a diagonal entry in every row, where H may have none:
+    # one zero term per row after H's terms.  ``_sum_by`` starts every sum
+    # from +0, so these terms keep only their slots, as ``diagonal``.
+    rows = np.concatenate((rows, np.arange(dim)))
+    cols = np.concatenate((cols, np.arange(dim)))
+    keys, slots = _unique_slots(rows * dim + cols)
+    n_terms = rows.size - dim
     template = _Template(
         h_entries=np.array(h_entries, dtype=np.intp),
         g_entries=np.array(g_entries, dtype=np.intp),
         block_sizes=np.array(sizes, dtype=np.intp),
         amplitude=amplitude,
-        pair_start=pair_start,
-        # Leading terms first, then for k = 1, 2, ... the k-th further term
-        # of each entry that has one.
-        order=np.concatenate(
-            [leading, *(term[first[e] + k] for k, e in enumerate(duplicates, start=1))]
-        ),
-        duplicates=tuple(position[e] for e in duplicates),
-        rows=(union_keys // dim).astype(np.intp),
-        cols=(union_keys % dim).astype(np.intp),
-        diagonal=np.searchsorted(union_keys, diagonal_keys),
+        pair_start=sum(sizes[: len(h_entries)]),
+        slots=slots[:n_terms],
+        rows=keys // dim,
+        cols=keys % dim,
+        diagonal=slots[n_terms:],
     )
     for value in vars(template).values():
-        for array in value if isinstance(value, tuple) else (value,):
-            if isinstance(array, np.ndarray):
-                array.flags.writeable = False
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
     return template
 
 
 def _coo_terms(
     layout: ModeLayout, n_max: int, parity: tuple[int, ...], h_entries: tuple, g_entries: tuple
 ):
-    """Amplitudes, block sizes and the rows, cols and term of H's COO build on a sector.
+    """Amplitudes, block sizes and the row and column of each term of H on a sector.
 
-    Rows and columns are sector indices.  The COO order is one block per
-    h coefficient, then per pair coefficient its creation block and the
-    transpose, its annihilation block.  ``term`` numbers each COO entry's
-    term: the products of each coefficient with its block's amplitudes,
-    then the conjugates of the pair-creation products.
+    Rows and columns are sector indices.  The terms are in COO order, the
+    order in which ``fock._sum_by`` adds them: one block per h
+    coefficient, one pair-creation block per pair coefficient, then the
+    transposes of the pair-creation blocks, the pair-annihilation terms.
     """
     modes, cutoff = layout.mode_count, layout.cutoff
     sector = _sector(layout, n_max, parity)
@@ -362,19 +344,10 @@ def _coo_terms(
             amplitude = np.sqrt((occ[p, src] + 1.0) * (occ[q, src] + 1.0))
         blocks.append((targets(src, int(stride[p] + stride[q])), src, amplitude))
     amplitude = np.concatenate([np.zeros(0), *(block[2] for block in blocks)])
-    sizes = [block[1].size for block in blocks]
-    conjugates = amplitude.size - sum(sizes[: len(h_entries)])
-    starts = np.cumsum([0] + sizes)
-    coo = []
-    for k, (target, src, _) in enumerate(blocks):
-        term = np.arange(starts[k], starts[k + 1], dtype=np.intp)
-        coo.append((target, src, term))
-        if k >= len(h_entries):
-            coo.append((src, target, term + conjugates))
-    rows, cols, term = (
-        np.concatenate([np.zeros(0, np.intp), *(part[i] for part in coo)]) for i in range(3)
-    )
-    return amplitude, sizes, rows, cols, term
+    pairs = blocks[len(h_entries) :]
+    rows = np.concatenate([np.zeros(0, np.intp), *(b[0] for b in blocks), *(b[1] for b in pairs)])
+    cols = np.concatenate([np.zeros(0, np.intp), *(b[1] for b in blocks), *(b[0] for b in pairs)])
+    return amplitude, [block[1].size for block in blocks], rows, cols
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,14 +386,15 @@ def _prepared(
     drop.  That arithmetic depends only on the sector and on which
     coefficients are nonzero, so it is done once per sector and nonzero
     pattern (``_template``).  Each generator then costs one multiply of
-    its coefficients by the ladder amplitudes, one gather into the
-    summation order, the sums on the diagonal and the product with -1j.
-    mu is the mean of the diagonal, summed as numpy sums it; each 1-norm
-    is the largest column sum of absolute values, added in row order.
-    These are the bits of a COO build whose duplicates are summed in COO
-    order, converted by scipy and shifted as ``expm_multiply`` shifts it,
-    except for the exact zeros that scipy's subtraction drops: the
-    product adds each row's terms to +0, so a +-0 term changes no bit.
+    its coefficients by the ladder amplitudes, one ``fock._sum_by`` of
+    each entry's terms in COO order and the product with -1j.  mu is the
+    mean of the diagonal, summed as numpy sums it; each 1-norm is the
+    largest column sum of absolute values, added in row order.  These are
+    the bits of a COO build whose duplicates are summed in COO order,
+    converted by scipy and shifted as ``expm_multiply`` shifts it, except
+    for the exact zeros that scipy's subtraction drops and the signs of
+    zeros (each sum starts from +0): the product adds each row's terms to
+    +0, so a +-0 term changes no bit.
     """
     key = (layout.mode_count, layout.cutoff, n_max, parity)
     cached = gen._operators.get(key)
@@ -439,16 +413,10 @@ def _build(gen: GeneratorSpec, layout: ModeLayout, n_max: int, parity: tuple[int
     t = _template(layout, n_max, parity, *gen._pattern)
     coefficients = np.concatenate((gen.h.take(t.h_entries), gen.g.take(t.g_entries)))
     products = np.repeat(coefficients, t.block_sizes) * t.amplitude
-    terms = np.concatenate((products, np.conjugate(products[t.pair_start :]), [0j]))
-    terms = terms.take(t.order)
-    data = terms[: t.rows.size]
-    start = data.size
-    for entries in t.duplicates:
-        data[entries] += terms[start : start + entries.size]
-        start += entries.size
+    terms = np.concatenate((products, np.conjugate(products[t.pair_start :])))
     # -1j * 0j is +0j: the added diagonal zeros add nothing to the column
     # sums of A.
-    union = data * -1j
+    union = _sum_by(t.slots, terms, t.rows.size) * -1j
     n = t.diagonal.size
     norm = float(np.bincount(t.cols, weights=np.abs(union), minlength=n).max())
     trace = np.zeros(n, dtype=np.complex128)

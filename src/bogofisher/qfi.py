@@ -77,6 +77,12 @@ def _report(
     theta: float,
     tracing_loss: float | None = None,
 ) -> QfiReport:
+    # fsum raises ValueError on inf - inf: refuse the overflowed term first.
+    for name, value in terms:
+        if not math.isfinite(value):
+            raise NumericalBreakdownError(
+                f"QFI term {name} evaluated to {value}; numerical breakdown"
+            )
     qfi = math.fsum(v for _, v in terms)
     qfi = _clamp_nonnegative(qfi)
     ratio, ok = validity_check(theta, qfi)

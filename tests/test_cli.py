@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bogofisher
-from bogofisher import oracle
+from bogofisher import harness, oracle
 from bogofisher.cli import cli_main
 
 from helpers import random_model, rephased, run_python
@@ -562,6 +562,23 @@ def test_bad_mode_index_exits_one(argv, message, squeezer_doc, tms_doc, capsys):
     assert message in error["message"]
 
 
+def test_memory_error_exits_three(tms_doc, tmp_path, monkeypatch, capsys):
+    message = "Unable to allocate 8.00 GiB for an array with shape (2**30,) and data type float64"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(harness, "optimize_state", exhausted)
+    support = write_json(tmp_path / "support.json", [[1, 1], [2, 0]])
+    assert cli_main(["optimize", tms_doc, "--support", support, "--avg-n", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    error = _single_error_line(captured.err)
+    assert error["error"] == "BudgetError"
+    assert message in error["message"]
+
+
 def test_numerical_breakdown_exits_three(squeezer_doc, vacuum_state_doc, monkeypatch, capsys):
     # The vacuum norm term is 2, so a penalty of 0.75 drives the QFI to about -1.
     monkeypatch.setattr(bogofisher.qfi, "overlap_penalty", lambda pair: 0.75)
@@ -783,8 +800,28 @@ def test_zero_terms_print_without_sign(keep, tmp_path, capsys):
     assert 0.0 in breakdown.values()
 
 
+@pytest.mark.parametrize("keep", [None, "0"])
+def test_zero_qfi_prints_null_bound(keep, tmp_path, capsys):
+    # The vacuum under a beam splitter has no QFI, so no finite Cramer-Rao bound.
+    model = write_json(
+        tmp_path / "bs.json", {"builtin": "beam_splitter", "k": 0, "kprime": 1, "modes": 2}
+    )
+    state = write_json(tmp_path / "vacuum.json", [{"occ": [0, 0], "re": 1.0}])
+    argv = ["qfi", model, "--state", state] + ([] if keep is None else ["--keep", keep])
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    assert '"qfi": 0.0' in out
+    assert '"delta_theta_bound": null' in out
+    assert json.loads(out)["cramer_rao"]["delta_theta_bound"] is None
+
+
 def _huge_model(value):
     return {"modes": 2, "alpha1": [[0, 1, value, 0.0], [1, 0, -value, 0.0]]}
+
+
+# At 1e154 on |1> the QFI's norm term overflows to inf and its penalty to -inf.
+def _huge_one_mode(value):
+    return {"modes": 1, "alpha1": [[0, 0, 0.0, value]]}
 
 
 # At 1e307 each mode's diagonal term of H fits in a float and their sum on a
@@ -797,20 +834,29 @@ def _huge_diagonal(value):
 _SCAN_ARGS = ["--n", "0..2", "--pair-with", "1"]
 
 
+# Each fresh-process run: its command, model and state occupation.
+_FRESH_OVERFLOW_RUNS = {
+    "oracle-compare": ("oracle-compare", _huge_model, [1, 1]),
+    "qfi": ("qfi", _huge_model, [1, 1]),
+    "scan": ("scan", _huge_diagonal, None),
+    "qfi-one-mode": ("qfi", _huge_one_mode, [1]),
+}
+
+
 @pytest.mark.parametrize(
-    "command, value",
+    "run, value",
     [("oracle-compare", 1e154), ("oracle-compare", 1e308), ("qfi", 1e154), ("qfi", 1e308),
-     ("scan", 1e307)],
+     ("scan", 1e307), ("qfi-one-mode", 1e154)],
 )
-def test_overflowing_model_fresh_process_exits_three(command, value, tmp_path):
+def test_overflowing_model_fresh_process_exits_three(run, value, tmp_path):
     # numpy's overflow warning would reach stderr here; tier-1 turns it into
     # an exception inside pytest, so only a fresh process shows the leak.
-    state = write_json(tmp_path / "s11.json", [{"occ": [1, 1], "re": 1.0}])
-    if command == "scan":
-        model = write_json(tmp_path / "model.json", _huge_diagonal(value))
+    command, huge, occ = _FRESH_OVERFLOW_RUNS[run]
+    model = write_json(tmp_path / "model.json", huge(value))
+    if occ is None:
         argv = [command, model, *_SCAN_ARGS]
     else:
-        model = write_json(tmp_path / "model.json", _huge_model(value))
+        state = write_json(tmp_path / "state.json", [{"occ": occ, "re": 1.0}])
         argv = [command, model, "--state", state]
     assert _fresh_process(["validate", model])[0] == 0
     code, out, err = _fresh_process(argv)
@@ -831,13 +877,16 @@ def test_overflowing_model_fresh_process_exits_three(command, value, tmp_path):
         ["scan", "DIAGONAL", *_SCAN_ARGS],
         ["named", "M", "--n", "2"],
         ["optimize", "M", "--support", "SUPPORT", "--avg-n", "3", "--restarts", "2"],
+        ["qfi", "ONE_MODE", "--state", "S1"],
     ],
     ids=["qfi", "qfi-keep", "qfi-superposition", "oracle-compare", "scan", "scan-diagonal",
-         "named", "optimize"],
+         "named", "optimize", "qfi-one-mode"],
 )
 def test_overflowing_model_exits_three(argv, value, tmp_path, capsys):
     files = {
         "M": write_json(tmp_path / "model.json", _huge_model(value)),
+        "ONE_MODE": write_json(tmp_path / "one_mode.json", _huge_one_mode(value)),
+        "S1": write_json(tmp_path / "s1.json", [{"occ": [1], "re": 1.0}]),
         # Not scaled by value: at 1e307 only the sum over modes overflows.
         "DIAGONAL": write_json(tmp_path / "diagonal.json", _huge_diagonal(1e307)),
         "S22": write_json(tmp_path / "s22.json", [{"occ": [2, 2], "re": 1.0}]),

@@ -163,6 +163,11 @@ def test_template_shared_per_layout_and_nonzero_pattern():
     assert after.hits > before.hits
     shared = oracle._template(layout, *sector, *first._pattern)
     assert oracle._template(layout, *sector, *second._pattern) is shared
+    # A shared template cannot be changed through any of its arrays.
+    for name, value in vars(shared).items():
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, name
+    assert np.array_equal(shared.diagonal, np.flatnonzero(shared.rows == shared.cols))
     # Exact zeros in h and g give a second pattern on the same sector.
     h, g = first.h.copy(), first.g.copy()
     h[0, 2] = h[2, 0] = h[1, 1] = 0.0

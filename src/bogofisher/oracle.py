@@ -30,10 +30,13 @@ action of the matrix exponential", SIAM J. Sci. Comput. 2011, algorithm
 5.2) for one vector.  It meets their backward-error bound at double
 precision, and for t||A||_1 up to 63.4 it returns the vectors of
 ``scipy.sparse.linalg.expm_multiply`` on the same operator bit for bit;
-the package itself needs numpy only.  Everything downstream is obtained
-nonperturbatively: fidelity-based QFI with Richardson extrapolation,
-Uhlmann fidelity for reduced states, and finite-difference state and
-density-operator derivatives.
+the package itself needs numpy only.  The symmetric finite differences
+take their states at -h, -h/2, h/2 and h from ``_taylor_stencil``: the
+sweeps over [0, h] on A and on -A, which share one set of Taylor terms
+at theta = 0 where one step spans [0, h].  Everything downstream is
+obtained nonperturbatively: fidelity-based QFI with Richardson
+extrapolation, Uhlmann fidelity for reduced states, and
+finite-difference state and density-operator derivatives.
 
 Convention pinned here and mirrored by the perturbative module: the
 mode operators transform as a_m -> U^dag a_m U, so the single-mode
@@ -539,7 +542,7 @@ def _taylor_sweep(op: _Operator, v: np.ndarray, start: float, stop: float, num: 
     ``expm_multiply`` runs it on A - mu I (``_product``): one Taylor step to
     ``start``, then either a step per grid point (at most ``s`` points)
     or blocks of grid points that each share one set of Taylor terms
-    K_p = (h A)^p / p! of their first point, computed once per block.
+    K_p = (h A)^p / p! of their first point (``_terms``, ``_block_point``).
     Requires start <= stop; the rows of the result are the grid points.
     """
     samples, h = np.linspace(start, stop, num, retstep=True)
@@ -557,40 +560,90 @@ def _taylor_sweep(op: _Operator, v: np.ndarray, start: float, stop: float, num: 
         return out
     d = q // s
     for first in range(0, q, d):
-        terms = [out[first]]
-        term_norms = [np.abs(out[first]).max()]
+        term, norms = _terms(op, out[first], h)
         for k in range(1, min(d, q - first) + 1):
-            f = terms[0]
-            c1 = term_norms[0]
-            for p in range(1, m_star + 1):
-                if p == len(terms):
-                    terms.append(h * _product(op, terms[p - 1]) / float(p))
-                    term_norms.append(np.abs(terms[p]).max())
-                coeff = float(k**p)
-                f = f + coeff * terms[p]
-                c2 = coeff * term_norms[p]
-                if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
-                    break
-                c1 = c2
-            out[first + k] = np.exp(k * h * op.mu) * f
+            out[first + k] = _block_point(term, norms, k, h, op.mu, m_star)
     return out
 
 
-def _propagation(gen: GeneratorSpec, state: StateVector):
-    """The state's sector, its vector there and a sweep of exp(-i theta H)|state>.
+def _terms(op: _Operator, b: np.ndarray, h: float):
+    """The Taylor terms K_p = (h (A - mu I))^p b / p! of one block, each made on first use.
+
+    Returns ``term``, with term(p) = K_p computed from K_(p-1) when first
+    asked for, and the list of the max-norms of the terms made so far.
+    """
+    terms, norms = [b], [np.abs(b).max()]
+
+    def term(p: int) -> np.ndarray:
+        if p == len(terms):
+            terms.append(h * _product(op, terms[p - 1]) / float(p))
+            norms.append(np.abs(terms[p]).max())
+        return terms[p]
+
+    return term, norms
+
+
+def _block_point(term, norms: list, k: int, h: float, mu: complex, m_star: int) -> np.ndarray:
+    """exp(k h A) b = e^(k h mu) sum_p k^p K_p from the terms ``term(p)`` of a block.
+
+    The series stops early once two successive terms are negligible.
+    """
+    f = term(0)
+    c1 = norms[0]
+    for p in range(1, m_star + 1):
+        coeff = float(k**p)
+        f = f + coeff * term(p)
+        c2 = coeff * norms[p]
+        if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
+            break
+        c1 = c2
+    return np.exp(k * h * mu) * f
+
+
+def _negated(op: _Operator) -> _Operator:
+    """-A: the same pattern with -mu and the entries of -(A - mu I)."""
+    return _Operator(op.norm, -op.mu, -op.shifted, op.rows, op.cols, op.shifted_norm)
+
+
+def _taylor_stencil(op: _Operator, v: np.ndarray, h: float) -> np.ndarray:
+    """exp(theta A) v at theta = -h, -h/2, h/2, h (h > 0), as the rows.
+
+    The rows at h/2 and h are those of ``_taylor_sweep(op, v, 0, h, 3)``
+    and the rows at -h/2 and -h those of the same sweep on -A
+    (``_negated``), bit for bit.  Where one Taylor step spans [0, h]
+    (s = 1) both sides sum the one set of terms K_p of A at theta = 0
+    (``_terms``): rounding is symmetric, so the term of -A is (-1)^p K_p
+    exactly.  An odd one is written 0 - K_p: every zero entry of K_p is
+    +0 (each row of a product is summed from +0), and so is the entry of
+    the term of -A, where -K_p would hold -0.  Otherwise (s >= 2) each
+    side is its own sweep.
+    """
+    # The grid and span of _taylor_sweep(op, v, 0, h, 3), with its types.
+    samples, step = np.linspace(0.0, h, 3, retstep=True)
+    m_star, s = _taylor_degree(samples[2] * op.shifted_norm)
+    if s > 1:
+        plus = _taylor_sweep(op, v, 0.0, h, 3)
+        minus = _taylor_sweep(_negated(op), v, 0.0, h, 3)
+        return np.stack((minus[2], minus[1], plus[1], plus[2]))
+    term, norms = _terms(op, v, step)
+
+    def mirrored(p: int) -> np.ndarray:
+        return term(p) if p % 2 == 0 else 0.0 - term(p)
+
+    return np.stack(
+        [_block_point(mirrored, norms, k, step, -op.mu, m_star) for k in (2, 1)]
+        + [_block_point(term, norms, k, step, op.mu, m_star) for k in (1, 2)]
+    )
+
+
+def _placed(gen: GeneratorSpec, state: StateVector):
+    """-iH on the state's sector, the sector, its shell mask and the state's vector there.
 
     The sector (``_sector_of``), -iH on it and its shell mask come from
     their caches (the generator's operators, see ``GeneratorSpec``,
     ``_sector`` and ``_shell_mask``), so this only places the state's
-    amplitudes at their sector indices and checks them.  ``sweep(start,
-    stop, num)`` returns the evolved vectors at the ``num`` equally
-    spaced thetas from ``start`` to ``stop`` (endpoint included) as the
-    rows of one array, from one ``_taylor_sweep``: the interval algorithm
-    of Al-Mohy & Higham (2011, section 5) costs about as much as a single
-    evolution.  A sweep whose |stop - start| * ||H||_1 passes
-    ``SWEEP_NORM_BUDGET`` is refused before it starts.  The input and
-    every evolved vector are held to the boundary-shell budget
-    ``SHELL_BUDGET``.
+    amplitudes at their sector indices and holds them to the
+    boundary-shell budget ``SHELL_BUDGET``.
     """
     key = _sector_of(state)
     op = _prepared(gen, state.layout, *key)
@@ -599,6 +652,21 @@ def _propagation(gen: GeneratorSpec, state: StateVector):
     v0 = np.zeros(sector.size, dtype=np.complex128)
     v0[np.searchsorted(sector, state.ranks)] = state.amplitudes
     _check_shell_weight(v0, shell)
+    return op, sector, shell, v0
+
+
+def _propagation(gen: GeneratorSpec, state: StateVector):
+    """The state's sector, its vector there (``_placed``) and a sweep of exp(-i theta H)|state>.
+
+    ``sweep(start, stop, num)`` returns the evolved vectors at the ``num``
+    equally spaced thetas from ``start`` to ``stop`` (endpoint included)
+    as the rows of one array, from one ``_taylor_sweep``: the interval
+    algorithm of Al-Mohy & Higham (2011, section 5) costs about as much
+    as a single evolution.  A sweep whose |stop - start| * ||H||_1 passes
+    ``SWEEP_NORM_BUDGET`` is refused before it starts.  Every evolved
+    vector is held to the boundary-shell budget ``SHELL_BUDGET``.
+    """
+    op, sector, shell, v0 = _placed(gen, state)
 
     def sweep(start: float, stop: float, num: int) -> np.ndarray:
         # The interval algorithm assumes start <= stop, so run it ascending.
@@ -612,6 +680,27 @@ def _propagation(gen: GeneratorSpec, state: StateVector):
         return out if ascending else out[::-1]
 
     return sector, v0, sweep
+
+
+def _stencil(op: _Operator, v0: np.ndarray, shell: np.ndarray, step: float):
+    """exp(theta A) v0 at -h, -h/2, h/2, h, h = |step|, evolved on first call and kept.
+
+    Returns a function whose first call runs one ``_taylor_stencil`` and
+    holds its rows to the boundary-shell budget ``SHELL_BUDGET``; later
+    calls return the same array.  The span 2h * ||H||_1 is checked
+    against ``SWEEP_NORM_BUDGET`` here, before any call.
+    """
+    h = abs(step)
+    _check_sweep_norm(op, -h, h)
+
+    @functools.cache
+    def rows() -> np.ndarray:
+        out = _taylor_stencil(op, v0, h)
+        for vec in out:
+            _check_shell_weight(vec, shell)
+        return out
+
+    return rows
 
 
 def _boxed(vec: np.ndarray, layout: ModeLayout, sector: np.ndarray) -> np.ndarray:
@@ -638,11 +727,6 @@ class FidelityEstimate:
 
     value: float
     error: float
-
-
-# Rows of a five-point sweep over [-h, h] other than theta = 0:
-# -h, -h/2, h/2, h.
-_OFF_CENTER = [0, 1, 3, 4]
 
 
 def _richardson(coarse: float, fine: float, dtheta: float) -> FidelityEstimate:
@@ -727,21 +811,21 @@ def qfi_fidelity_mixed(
 
     The reduced-state fidelity is not even in theta, so the estimates at
     +h and -h are averaged, which cancels its odd terms, before the
-    Richardson step.  One sweep covers [-dtheta, dtheta] in five points.
-    The reduced states are taken in the dense box of the layout, within
-    ``DENSE_DIM_BUDGET``.
+    Richardson step.  One stencil (``_stencil``) gives the states at
+    -h, -h/2, h/2 and h, h = |dtheta|.  The reduced states are taken in
+    the dense box of the layout, within ``DENSE_DIM_BUDGET``.
     """
     _check_step("dtheta", dtheta)
     if not state.is_normalized(1e-9):
         raise ValueError("input state must be normalized")
     keep.validate_for(state.layout)
-    sector, v0, sweep = _propagation(gen, state)
+    op, sector, shell, v0 = _placed(gen, state)
 
     def reduced(vec: np.ndarray) -> np.ndarray:
         return _reduced_dense(_boxed(vec, state.layout, sector), state.layout, keep)
 
     sqrt_rho0 = _psd_sqrt(reduced(v0))
-    minus_h, minus_half, plus_half, plus_h = sweep(-dtheta, dtheta, 5)[_OFF_CENTER]
+    minus_h, minus_half, plus_half, plus_h = _stencil(op, v0, shell, dtheta)()
 
     def one_sided(psi_h: np.ndarray, h: float) -> float:
         rho_h = reduced(psi_h)
@@ -761,20 +845,26 @@ def qfi_fidelity_mixed(
 class DerivativeStates:
     """Finite-difference first-order state and reduced-state corrections.
 
-    ``psi1`` is computed on construction.  The dense operators ``rho1``
-    and ``rho2`` are built on first read and cached, so a caller that
-    reads only ``psi1`` builds no reduced density matrix.
+    ``psi1`` and the dense operators ``rho1`` and ``rho2`` are each built
+    on first read and cached.  ``psi1`` and ``rho1`` share one stencil,
+    made at the first read of either; ``rho2`` makes its own.  So a
+    caller that reads only ``psi1`` builds no reduced density matrix, and
+    one that reads only ``rho2`` evolves the state once.
     """
 
     def __init__(
         self,
-        psi1: StateVector,
+        psi1: Callable[[], StateVector],
         rho1: Callable[[], DensityOperator],
         rho2: Callable[[], DensityOperator],
     ) -> None:
-        self.psi1 = psi1
+        self._build_psi1 = psi1
         self._build_rho1 = rho1
         self._build_rho2 = rho2
+
+    @functools.cached_property
+    def psi1(self) -> StateVector:
+        return self._build_psi1()
 
     @functools.cached_property
     def rho1(self) -> DensityOperator:
@@ -797,10 +887,14 @@ def derivative_states(
     rho1 and rho2 are the linear and quadratic coefficients of the
     reduced-state expansion in theta, taken on ``keep`` (all modes when
     omitted).  Richardson extrapolation removes the leading O(h^2)
-    finite-difference error.  psi1 and rho1 share one five-point sweep
-    over [-dtheta, dtheta]; rho2 makes its own over [-dtheta2, dtheta2]
-    when it is first read.  psi1 is read off the state's sector; rho1
-    and rho2 are taken in the dense box of the layout, within
+    finite-difference error.  Each is built on first read
+    (``DerivativeStates``): psi1 and rho1 from one stencil at +-|dtheta|
+    and +-|dtheta| / 2, rho2 from its own at +-|dtheta2| and
+    +-|dtheta2| / 2.  Only the sign-free |dtheta| enters, so a negative
+    step gives the same bytes as its absolute value.  The psi1 stencil's
+    span is checked against ``SWEEP_NORM_BUDGET`` here, the rho2
+    stencil's when rho2 is read.  psi1 is read off the state's sector;
+    rho1 and rho2 are taken in the dense box of the layout, within
     ``DENSE_DIM_BUDGET``.
     """
     _check_step("dtheta", dtheta)
@@ -809,24 +903,27 @@ def derivative_states(
     keep = keep if keep is not None else ModeSubset.of(range(layout.mode_count))
     keep.validate_for(layout)
     sub_layout = ModeLayout(len(keep.indices), layout.cutoff)
-    sector, v0, sweep = _propagation(gen, state)
-    psi = sweep(-dtheta, dtheta, 5)[_OFF_CENTER]
+    op, sector, shell, v0 = _placed(gen, state)
+    h, h2 = abs(dtheta), abs(dtheta2)
+    psi = _stencil(op, v0, shell, h)
 
     def reduced(vectors) -> list[np.ndarray]:
         return [_reduced_dense(_boxed(vec, layout, sector), layout, keep) for vec in vectors]
 
+    def psi1() -> StateVector:
+        return StateVector._from_ranks(layout, sector, _first_difference(psi(), h))
+
     def rho1() -> DensityOperator:
-        rho = _first_difference(reduced(psi), dtheta)
+        rho = _first_difference(reduced(psi()), h)
         return DensityOperator(sub_layout, _hermitize(rho))
 
     def rho2() -> DensityOperator:
-        rho_h = reduced(sweep(-dtheta2, dtheta2, 5)[_OFF_CENTER])
+        rho_h = reduced(_stencil(op, v0, shell, h2)())
         rho_0 = reduced([v0])[0]
-        rho = _second_difference(rho_h, rho_0, dtheta2)
+        rho = _second_difference(rho_h, rho_0, h2)
         return DensityOperator(sub_layout, _hermitize(rho))
 
-    psi1 = _first_difference(psi, dtheta)
-    return DerivativeStates(StateVector._from_ranks(layout, sector, psi1), rho1, rho2)
+    return DerivativeStates(psi1, rho1, rho2)
 
 
 def _first_difference(f, h: float) -> np.ndarray:

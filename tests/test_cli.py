@@ -293,6 +293,21 @@ def test_oracle_compare(tms_doc, tmp_path, capsys):
     assert payload["psi1_distance"] < 1e-6
 
 
+@pytest.mark.parametrize("dtheta", ["1e-9", "1e-7"])
+def test_oracle_compare_refuses_an_estimate_lost_in_round_off(dtheta, tmp_path, capsys):
+    # The error bound 64 eps / dtheta^2 widens the tolerance 10 * err with
+    # it, so without a cap on the error these steps would agree: at 1e-9
+    # the estimate is 0.0 against 16, at 1e-7 it is 15.987 +- 1.42.
+    bs = write_json(tmp_path / "bs.json", {"builtin": "beam_splitter", "k": 0, "kprime": 1,
+                                           "modes": 2})
+    state = write_json(tmp_path / "s11.json", [{"occ": [1, 1], "re": 1.0}])
+    assert cli_main(["oracle-compare", bs, "--state", state, "--dtheta", dtheta]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["qfi_perturb"] == pytest.approx(16.0, abs=1e-12)
+    assert payload["oracle_err"] > 1e-3 * payload["qfi_perturb"]
+    assert payload["agree"] is False
+
+
 def test_every_command_runs_a_model_with_free_evolution_phases(tmp_path, capsys):
     # validate is the one gate: a model with G != 1 that it passes reaches
     # every command, exact propagation included.

@@ -623,22 +623,67 @@ def test_derivative_states_hermitian_check_runs_on_read(monkeypatch):
         ders.rho1
 
 
+def _count_evolutions(monkeypatch) -> list:
+    """Record each ``_taylor_sweep`` and ``_taylor_stencil`` call as (name, last argument)."""
+    calls = []
+    for name in ("_taylor_sweep", "_taylor_stencil"):
+        real = getattr(oracle, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls.append((_name, args[-1]))
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, counting)
+    return calls
+
+
+def test_derivative_states_reading_rho2_alone_runs_one_stencil(monkeypatch):
+    calls = _count_evolutions(monkeypatch)
+    gen = two_mode_squeezer_generator(0, 1, 2)
+    state = StateVector.from_occupation(ModeLayout(2, 8), [1, 0])
+    ders = derivative_states(gen, state, dtheta=1e-4, dtheta2=1e-3, keep=ModeSubset.of([0]))
+    assert calls == []
+    ders.rho2
+    assert calls == [("_taylor_stencil", 1e-3)]
+
+
+def test_derivative_states_psi1_and_rho1_share_one_stencil(monkeypatch):
+    calls = _count_evolutions(monkeypatch)
+    gen = two_mode_squeezer_generator(0, 1, 2)
+    state = StateVector.from_occupation(ModeLayout(2, 8), [1, 0])
+    ders = derivative_states(gen, state, dtheta=1e-4, dtheta2=1e-3, keep=ModeSubset.of([0]))
+    psi1 = ders.psi1
+    ders.rho1
+    assert ders.psi1 is psi1
+    assert calls == [("_taylor_stencil", 1e-4)]
+
+
+def test_derivative_states_negative_steps_give_the_same_bytes():
+    rng = np.random.default_rng(21)
+    gen = random_generator(rng, 2, 0.4)
+    state = random_state(rng, ModeLayout(2, 8), modes=[0, 1], terms=2, max_occ=2)
+    keep = ModeSubset.of([0])
+    plus = derivative_states(gen, state, dtheta=2e-4, dtheta2=2e-3, keep=keep)
+    minus = derivative_states(gen, state, dtheta=-2e-4, dtheta2=-2e-3, keep=keep)
+    assert minus.psi1.amplitudes.tobytes() == plus.psi1.amplitudes.tobytes()
+    assert np.array_equal(minus.psi1.ranks, plus.psi1.ranks)
+    assert minus.rho1.matrix.tobytes() == plus.rho1.matrix.tobytes()
+    assert minus.rho2.matrix.tobytes() == plus.rho2.matrix.tobytes()
+
+
 def test_oracle_compare_sweeps_twice_and_builds_no_density_matrix(
     monkeypatch, tmp_path, capsys
 ):
-    calls = {"sweep": 0, "reduced": 0}
-    real_sweep = oracle._taylor_sweep
+    # A stencil counts as a sweep: one sweep for the fidelity QFI, one
+    # stencil for psi1.
+    calls = {"reduced": 0}
+    sweeps = _count_evolutions(monkeypatch)
     real_reduced = oracle._reduced_dense
-
-    def counting_sweep(*args, **kwargs):
-        calls["sweep"] += 1
-        return real_sweep(*args, **kwargs)
 
     def counting_reduced(*args):
         calls["reduced"] += 1
         return real_reduced(*args)
 
-    monkeypatch.setattr(oracle, "_taylor_sweep", counting_sweep)
     monkeypatch.setattr(oracle, "_reduced_dense", counting_reduced)
     model = tmp_path / "model.json"
     model.write_text(
@@ -658,7 +703,7 @@ def test_oracle_compare_sweeps_twice_and_builds_no_density_matrix(
     assert cli_main(["oracle-compare", str(model), "--state", str(state)]) == 0
     assert json.loads(capsys.readouterr().out)["agree"] is True
     assert calls["reduced"] == 0
-    assert calls["sweep"] <= 2
+    assert len(sweeps) <= 2
 
 
 def test_shell_monitor_rejects_non_finite_vector():

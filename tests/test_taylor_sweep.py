@@ -8,10 +8,14 @@ reference, up to t||A||_1 = 63.4 it must return the same bits; above
 that its Taylor step is chosen from ||A||_1 alone, which is more
 conservative than scipy's estimates of ||A^p||, and its error must stay
 within u * t||A||_1 of the exact propagation (u = 2^-53).
+``oracle._taylor_stencil`` must return the bits of the sweeps over
+[0, h] on A and on -A.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 from scipy.sparse.linalg._expm_multiply import (
     LazyOperatorNormInfo,
@@ -139,3 +143,58 @@ def test_taylor_degree_is_scipys_under_condition_3_13():
     for norm in np.geomspace(1e-12, 63.36, 400):
         expected = _fragment_3_1(LazyOperatorNormInfo(None, A_1_norm=norm), 1, _UNIT_ROUNDOFF)
         assert oracle._taylor_degree(norm) == expected
+
+
+def _stencil_reference(sweep_plus: np.ndarray, sweep_minus: np.ndarray) -> np.ndarray:
+    """The rows -h, -h/2, h/2, h from three-point sweeps over [0, h] on A and on -A."""
+    return np.stack((sweep_minus[2], sweep_minus[1], sweep_plus[1], sweep_plus[2]))
+
+
+def test_exact_cases_cover_both_stencil_branches():
+    # One step over [0, h] (the shared terms) and a step per point.
+    assert {oracle._taylor_degree(norm)[1] > 1 for norm in _EXACT_NORMS} == {False, True}
+
+
+@pytest.mark.parametrize("span_norm", _EXACT_NORMS)
+def test_stencil_is_bit_identical_to_expm_multiply_on_both_signs(span_norm):
+    op, A, v = _operator_and_vector(int(span_norm * 1000) + 11)
+    h = span_norm / op.shifted_norm
+    expected = _stencil_reference(
+        expm_multiply(A, v, start=0.0, stop=h, num=3, endpoint=True),
+        expm_multiply(-A, v, start=0.0, stop=h, num=3, endpoint=True),
+    )
+    assert oracle._taylor_stencil(op, v, h).tobytes() == expected.tobytes()
+
+
+@st.composite
+def _stencil_cases(draw):
+    """A random generator, sector, vector (some entries +0 or -0) and step."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    modes = draw(st.integers(1, 3))
+    cutoff = draw(st.integers(2, 6))
+    parity = draw(st.sampled_from([(0, 1), (0,), (1,)]))
+    n_max = draw(st.integers(parity[0], modes * cutoff))
+    n_max -= n_max % 2 not in parity
+    rng = np.random.default_rng(seed)
+    gen = random_generator(rng, modes, draw(st.floats(0.05, 3.0)))
+    layout = ModeLayout(modes, cutoff)
+    op = oracle._prepared(gen, layout, n_max, parity)
+    dim = oracle._sector(layout, n_max, parity).size
+    # A sparse vector leaves exact zeros in the first terms K_p; where its
+    # zeros are -0 they must still sum as on -A.
+    support = rng.random(dim) < draw(st.sampled_from([0.1, 0.8, 1.0]))
+    zero = complex(-0.0, -0.0) if draw(st.booleans()) else 0j
+    v = np.where(support, rng.normal(size=dim) + 1j * rng.normal(size=dim), zero)
+    span_norm = draw(st.floats(1e-8, 40.0))
+    return op, v, span_norm / max(op.shifted_norm, 1.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_stencil_cases())
+def test_stencil_keeps_the_bits_of_the_sweeps_on_a_and_minus_a(case):
+    op, v, h = case
+    expected = _stencil_reference(
+        oracle._taylor_sweep(op, v, 0.0, h, 3),
+        oracle._taylor_sweep(oracle._negated(op), v, 0.0, h, 3),
+    )
+    assert oracle._taylor_stencil(op, v, h).tobytes() == expected.tobytes()

@@ -226,8 +226,11 @@ def _cmd_scan(args) -> int:
     if args.out is None:
         sys.stdout.write(csv_text)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(csv_text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(csv_text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
     if args.fit:
         nbar = [row.n + (row.m or 0) for row in rows]
         values = [row.qfi_perturb for row in rows]

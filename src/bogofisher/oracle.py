@@ -24,19 +24,21 @@ entry has several: one per h coefficient, in the order of its flat
 index).  The product with a vector is computed
 in numpy (``_product``): the entries are rounded as ``complex * complex``
 and each row's terms are added one by one from +0, in column order.
-``_taylor_sweep`` applies U(theta) to a state vector with the
-truncated-Taylor interval algorithm of Al-Mohy & Higham ("Computing the
-action of the matrix exponential", SIAM J. Sci. Comput. 2011, algorithm
-5.2) for one vector.  It meets their backward-error bound at double
-precision, and for t||A||_1 up to 63.4 it returns the vectors of
-``scipy.sparse.linalg.expm_multiply`` on the same operator bit for bit;
-the package itself needs numpy only.  The symmetric finite differences
-take their states at -h, -h/2, h/2 and h from ``_taylor_stencil``: the
-sweeps over [0, h] on A and on -A, which share one set of Taylor terms
-at theta = 0 where one step spans [0, h].  Everything downstream is
-obtained nonperturbatively: fidelity-based QFI with Richardson
-extrapolation, Uhlmann fidelity for reduced states, and
-finite-difference state and density-operator derivatives.
+``_taylor_stencil`` is the one evolution: it applies U(theta) to a
+state vector at theta = h/2 and h, and for the symmetric finite
+differences also at -h and -h/2, with the truncated-Taylor interval
+algorithm of Al-Mohy & Higham ("Computing the action of the matrix
+exponential", SIAM J. Sci. Comput. 2011, algorithm 5.2) for one vector.
+It meets their backward-error bound at double precision, and for
+t||A||_1 up to 63.4 it returns the vectors of
+``scipy.sparse.linalg.expm_multiply`` over [0, h] on A and on -A bit for
+bit; the package itself needs numpy only.  Where one Taylor step spans
+[0, h] both sides share one set of Taylor terms at theta = 0.  Every
+estimate reads the step's absolute value only, so a negative step gives
+the bytes of its absolute value.  Everything downstream is obtained
+nonperturbatively: fidelity-based QFI with Richardson extrapolation,
+Uhlmann fidelity for reduced states, and finite-difference state and
+density-operator derivatives.
 
 Convention pinned here and mirrored by the perturbative module: the
 mode operators transform as a_m -> U^dag a_m U, so the single-mode
@@ -78,9 +80,9 @@ DEFAULT_DTHETA_FIRST = 1e-4
 DEFAULT_DTHETA_SECOND = 1e-3
 DEFAULT_DTHETA_FIDELITY = 1e-3
 SHELL_BUDGET = 1e-10
-# Largest |stop - start| * ||H||_1 of one sweep.  The cost of a Taylor
-# sweep grows linearly in it; the oracle's finite-difference steps need
-# about 1.
+# Largest span times ||H||_1 of one stencil: h for the + side alone, 2h
+# for both sides.  The cost of a Taylor step grows linearly in it; the
+# oracle's finite-difference steps need about 1.
 SWEEP_NORM_BUDGET = 1e3
 
 _HERMITIAN_TOL = 1e-12
@@ -94,7 +96,7 @@ class GeneratorSpec:
     pair-creation block (its conjugate closes the Hermitian form).
 
     The trace-shifted sparse operator -iH - mu I of each sector that the
-    Taylor sweep multiplies by, with the 1-norms of -iH and of it
+    Taylor stencil multiplies by, with the 1-norms of -iH and of it
     (``_Operator``), is gathered on first use and kept on the instance,
     keyed by (mode_count, cutoff, N_max, parity classes), so every oracle
     call of one command on one sector shares one build.  The gather
@@ -355,7 +357,7 @@ def _coo_terms(
 
 @dataclass(frozen=True, eq=False)
 class _Operator:
-    """A = -iH on one sector, prepared once for every sweep over it.
+    """A = -iH on one sector, prepared once for every stencil on it.
 
     ``shifted`` holds the entries of A - mu I at (``rows``, ``cols``), the
     template's pattern with its zeros, where mu = tr(A) / n is the shift
@@ -535,37 +537,6 @@ def _taylor_step(op: _Operator, b: np.ndarray, t: float, m_star: int, s: int) ->
     return f
 
 
-def _taylor_sweep(op: _Operator, v: np.ndarray, start: float, stop: float, num: int) -> np.ndarray:
-    """exp(theta A) v at ``num`` equally spaced thetas from ``start`` to ``stop``.
-
-    Algorithm 5.2 of Al-Mohy & Higham (2011) for one vector, as
-    ``expm_multiply`` runs it on A - mu I (``_product``): one Taylor step to
-    ``start``, then either a step per grid point (at most ``s`` points)
-    or blocks of grid points that each share one set of Taylor terms
-    K_p = (h A)^p / p! of their first point (``_terms``, ``_block_point``).
-    Requires start <= stop; the rows of the result are the grid points.
-    """
-    samples, h = np.linspace(start, stop, num, retstep=True)
-    q = num - 1
-    t0 = samples[0]
-    span_norm = (samples[q] - t0) * op.shifted_norm
-    m_star, s = _taylor_degree(span_norm)
-    out = np.empty((num, v.size), dtype=np.complex128)
-    out[0] = v if t0 == 0 else _taylor_step(op, v, t0, m_star, s)
-    if q <= s:
-        if span_norm != 0:
-            m_star, s = _taylor_degree((1.0 / q) * span_norm)
-        for k in range(q):
-            out[k + 1] = _taylor_step(op, out[k], h, m_star, s)
-        return out
-    d = q // s
-    for first in range(0, q, d):
-        term, norms = _terms(op, out[first], h)
-        for k in range(1, min(d, q - first) + 1):
-            out[first + k] = _block_point(term, norms, k, h, op.mu, m_star)
-    return out
-
-
 def _terms(op: _Operator, b: np.ndarray, h: float):
     """The Taylor terms K_p = (h (A - mu I))^p b / p! of one block, each made on first use.
 
@@ -605,35 +576,46 @@ def _negated(op: _Operator) -> _Operator:
     return _Operator(op.norm, -op.mu, -op.shifted, op.rows, op.cols, op.shifted_norm)
 
 
-def _taylor_stencil(op: _Operator, v: np.ndarray, h: float) -> np.ndarray:
-    """exp(theta A) v at theta = -h, -h/2, h/2, h (h > 0), as the rows.
+def _taylor_stencil(op: _Operator, v: np.ndarray, h: float, two_sided: bool) -> np.ndarray:
+    """exp(theta A) v at theta = h/2, h (h > 0), after -h, -h/2 if ``two_sided``, as the rows.
 
-    The rows at h/2 and h are those of ``_taylor_sweep(op, v, 0, h, 3)``
-    and the rows at -h/2 and -h those of the same sweep on -A
-    (``_negated``), bit for bit.  Where one Taylor step spans [0, h]
-    (s = 1) both sides sum the one set of terms K_p of A at theta = 0
-    (``_terms``): rounding is symmetric, so the term of -A is (-1)^p K_p
-    exactly.  An odd one is written 0 - K_p: every zero entry of K_p is
-    +0 (each row of a product is summed from +0), and so is the entry of
-    the term of -A, where -K_p would hold -0.  Otherwise (s >= 2) each
-    side is its own sweep.
+    The rows at h/2 and h are those of ``expm_multiply`` over [0, h] at 3
+    points on A - mu I (``_product``), the rows at -h/2 and -h those on
+    -A (``_negated``): algorithm 5.2 of Al-Mohy & Higham (2011) for one
+    vector, bit for bit while t||A||_1 <= 63.4.  (Where A - mu I is zero
+    no term is added, so a -0 of v stays -0; ``expm_multiply`` adds
+    0 * A v first and makes it +0.)  Where one Taylor step
+    spans [0, h] (s = 1) each side sums one set of terms K_p of A at
+    theta = 0 (``_terms``, ``_block_point``), shared by both sides:
+    rounding is symmetric, so the term of -A is (-1)^p K_p exactly.  An
+    odd one is written 0 - K_p: every zero entry of K_p is +0 (each row
+    of a product is summed from +0), and so is the entry of the term of
+    -A, where -K_p would hold -0.  Otherwise (s >= 2) each side takes two
+    Taylor steps of h/2 (``_taylor_step``).
     """
-    # The grid and span of _taylor_sweep(op, v, 0, h, 3), with its types.
-    samples, step = np.linspace(0.0, h, 3, retstep=True)
-    m_star, s = _taylor_degree(samples[2] * op.shifted_norm)
+    span_norm = h * op.shifted_norm
+    m_star, s = _taylor_degree(span_norm)
+    half = h / 2.0
     if s > 1:
-        plus = _taylor_sweep(op, v, 0.0, h, 3)
-        minus = _taylor_sweep(_negated(op), v, 0.0, h, 3)
-        return np.stack((minus[2], minus[1], plus[1], plus[2]))
-    term, norms = _terms(op, v, step)
+        m_star, s = _taylor_degree(0.5 * span_norm)
 
-    def mirrored(p: int) -> np.ndarray:
-        return term(p) if p % 2 == 0 else 0.0 - term(p)
+        def side(negative: bool) -> list:
+            a = _negated(op) if negative else op
+            first = _taylor_step(a, v, half, m_star, s)
+            return [first, _taylor_step(a, first, half, m_star, s)]
 
-    return np.stack(
-        [_block_point(mirrored, norms, k, step, -op.mu, m_star) for k in (2, 1)]
-        + [_block_point(term, norms, k, step, op.mu, m_star) for k in (1, 2)]
-    )
+    else:
+        term, norms = _terms(op, v, half)
+
+        def mirrored(p: int) -> np.ndarray:
+            return term(p) if p % 2 == 0 else 0.0 - term(p)
+
+        def side(negative: bool) -> list:
+            series, mu = (mirrored, -op.mu) if negative else (term, op.mu)
+            return [_block_point(series, norms, k, half, mu, m_star) for k in (1, 2)]
+
+    minus = side(True)[::-1] if two_sided else []
+    return np.stack(minus + side(False))
 
 
 def _placed(gen: GeneratorSpec, state: StateVector):
@@ -655,47 +637,21 @@ def _placed(gen: GeneratorSpec, state: StateVector):
     return op, sector, shell, v0
 
 
-def _propagation(gen: GeneratorSpec, state: StateVector):
-    """The state's sector, its vector there (``_placed``) and a sweep of exp(-i theta H)|state>.
-
-    ``sweep(start, stop, num)`` returns the evolved vectors at the ``num``
-    equally spaced thetas from ``start`` to ``stop`` (endpoint included)
-    as the rows of one array, from one ``_taylor_sweep``: the interval
-    algorithm of Al-Mohy & Higham (2011, section 5) costs about as much
-    as a single evolution.  A sweep whose |stop - start| * ||H||_1 passes
-    ``SWEEP_NORM_BUDGET`` is refused before it starts.  Every evolved
-    vector is held to the boundary-shell budget ``SHELL_BUDGET``.
-    """
-    op, sector, shell, v0 = _placed(gen, state)
-
-    def sweep(start: float, stop: float, num: int) -> np.ndarray:
-        # The interval algorithm assumes start <= stop, so run it ascending.
-        # A NaN end fails the comparison and stays in lo, whose span is NaN.
-        ascending = start <= stop
-        lo, hi = (start, stop) if ascending else (stop, start)
-        _check_sweep_norm(op, lo, hi)
-        out = _taylor_sweep(op, v0, lo, hi, num)
-        for vec in out:
-            _check_shell_weight(vec, shell)
-        return out if ascending else out[::-1]
-
-    return sector, v0, sweep
-
-
-def _stencil(op: _Operator, v0: np.ndarray, shell: np.ndarray, step: float):
-    """exp(theta A) v0 at -h, -h/2, h/2, h, h = |step|, evolved on first call and kept.
+def _stencil(op: _Operator, v0: np.ndarray, shell: np.ndarray, step: float, two_sided: bool):
+    """The rows of ``_taylor_stencil`` at h = |step|, evolved on first call and kept.
 
     Returns a function whose first call runs one ``_taylor_stencil`` and
     holds its rows to the boundary-shell budget ``SHELL_BUDGET``; later
-    calls return the same array.  The span 2h * ||H||_1 is checked
-    against ``SWEEP_NORM_BUDGET`` here, before any call.
+    calls return the same array.  The span evaluated, 2h * ||H||_1 if
+    ``two_sided`` and h * ||H||_1 if not, is checked against
+    ``SWEEP_NORM_BUDGET`` here, before any call.
     """
     h = abs(step)
-    _check_sweep_norm(op, -h, h)
+    _check_sweep_norm(op, -h if two_sided else 0.0, h)
 
     @functools.cache
     def rows() -> np.ndarray:
-        out = _taylor_stencil(op, v0, h)
+        out = _taylor_stencil(op, v0, h, two_sided)
         for vec in out:
             _check_shell_weight(vec, shell)
         return out
@@ -711,7 +667,7 @@ def _boxed(vec: np.ndarray, layout: ModeLayout, sector: np.ndarray) -> np.ndarra
 
 
 def _check_sweep_norm(op: _Operator, lo: float, hi: float) -> None:
-    """A sweep over [lo, hi] whose span times ||A||_1 is within ``SWEEP_NORM_BUDGET``."""
+    """A stencil over [lo, hi] whose span times ||A||_1 is within ``SWEEP_NORM_BUDGET``."""
     # Written as "not <=" so that a NaN span (a non-finite theta) fails.
     if not (hi - lo) * op.norm <= SWEEP_NORM_BUDGET:
         raise BudgetError(
@@ -746,22 +702,22 @@ def qfi_fidelity_pure(
 ) -> FidelityEstimate:
     """Fidelity-based QFI at theta = 0 for a pure state with all modes kept.
 
-    Evaluates 8(1 - |<psi(0)|psi(dtheta)>|)/dtheta^2 at dtheta and
-    dtheta/2, one sweep over [0, dtheta/2, dtheta], and
-    Richardson-extrapolates the O(dtheta^2) error away.
+    Evaluates 8(1 - |<psi(0)|psi(h)>|)/h^2 at h = |dtheta| and h/2, the
+    + side of one stencil (``_stencil``), and Richardson-extrapolates the
+    O(h^2) error away.  Only |dtheta| enters, so a negative step gives
+    the same bytes as its absolute value.
     """
     _check_step("dtheta", dtheta)
     if not state.is_normalized(1e-9):
         raise ValueError("input state must be normalized")
-    _, v0, sweep = _propagation(gen, state)
-    _, psi_fine, psi_coarse = sweep(0.0, dtheta, 3)
+    op, _, shell, v0 = _placed(gen, state)
+    h = abs(dtheta)
+    psi_fine, psi_coarse = _stencil(op, v0, shell, h, two_sided=False)()
 
-    def estimate(psi_h: np.ndarray, h: float) -> float:
-        return 8.0 * (1.0 - abs(np.vdot(v0, psi_h))) / h**2
+    def estimate(psi_h: np.ndarray, step: float) -> float:
+        return 8.0 * (1.0 - abs(np.vdot(v0, psi_h))) / step**2
 
-    return _richardson(
-        estimate(psi_coarse, dtheta), estimate(psi_fine, dtheta / 2.0), dtheta
-    )
+    return _richardson(estimate(psi_coarse, h), estimate(psi_fine, h / 2.0), h)
 
 
 def uhlmann_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
@@ -825,7 +781,7 @@ def qfi_fidelity_mixed(
         return _reduced_dense(_boxed(vec, state.layout, sector), state.layout, keep)
 
     sqrt_rho0 = _psd_sqrt(reduced(v0))
-    minus_h, minus_half, plus_half, plus_h = _stencil(op, v0, shell, dtheta)()
+    minus_h, minus_half, plus_half, plus_h = _stencil(op, v0, shell, dtheta, two_sided=True)()
 
     def one_sided(psi_h: np.ndarray, h: float) -> float:
         rho_h = reduced(psi_h)
@@ -905,7 +861,7 @@ def derivative_states(
     sub_layout = ModeLayout(len(keep.indices), layout.cutoff)
     op, sector, shell, v0 = _placed(gen, state)
     h, h2 = abs(dtheta), abs(dtheta2)
-    psi = _stencil(op, v0, shell, h)
+    psi = _stencil(op, v0, shell, h, two_sided=True)
 
     def reduced(vectors) -> list[np.ndarray]:
         return [_reduced_dense(_boxed(vec, layout, sector), layout, keep) for vec in vectors]
@@ -918,7 +874,7 @@ def derivative_states(
         return DensityOperator(sub_layout, _hermitize(rho))
 
     def rho2() -> DensityOperator:
-        rho_h = reduced(_stencil(op, v0, shell, h2)())
+        rho_h = reduced(_stencil(op, v0, shell, h2, two_sided=True)())
         rho_0 = reduced([v0])[0]
         rho = _second_difference(rho_h, rho_0, h2)
         return DensityOperator(sub_layout, _hermitize(rho))
@@ -957,7 +913,7 @@ def coherent_state(layout: ModeLayout, mode: int, alpha: complex) -> StateVector
 
     The analytic amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!) are
     renormalized on the truncated basis and held to the same
-    boundary-shell budget as the propagator's Taylor sweep.
+    boundary-shell budget as the propagator's Taylor stencil.
     """
     _check_mode(layout.mode_count, mode)
     dim = layout.basis_size

@@ -139,6 +139,30 @@ def test_scan_usage_errors(squeezer_doc, capsys):
     assert cli_main(["scan", squeezer_doc, "--n", "0..3", "--fit"]) == 1
 
 
+@pytest.mark.parametrize("target", ["missing/scan.csv", ""], ids=["missing-dir", "directory"])
+def test_scan_out_it_cannot_write_exits_one(target, squeezer_doc, tmp_path, capsys):
+    # A missing directory, or a directory itself: one JSON line, no traceback.
+    out = str(tmp_path / target)
+    assert cli_main(["scan", squeezer_doc, "--n", "0..1", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = _single_error_line(captured.err)
+    assert error["error"] == "UsageError"
+    assert error["message"].startswith(f"cannot write {out}: ")
+
+
+def test_scan_negative_step_prints_the_csv_of_its_absolute_value(tmp_path, capsys):
+    bs = write_json(
+        tmp_path / "bs.json", {"builtin": "beam_splitter", "k": 0, "kprime": 1, "modes": 2}
+    )
+    grid = ["scan", bs, "--n", "0..2", "--pair-with", "1"]
+    # A bare -1e-3 reads as an option: the step is written --dtheta=-1e-3.
+    assert cli_main([*grid, "--dtheta=-1e-3"]) == 0
+    backward = capsys.readouterr().out
+    assert cli_main([*grid, "--dtheta=1e-3"]) == 0
+    assert backward == capsys.readouterr().out
+
+
 def test_scan_budget_failure_exit_three(squeezer_doc, capsys):
     assert (
         cli_main(["scan", squeezer_doc, "--n", "0..4", "--cutoff", "3"]) == 3
@@ -630,12 +654,12 @@ _SCAN_GRID = ["--n", "0..1", "--pair-with", "1", "--m", "0..1"]
 def test_bad_step_or_theta_exits_with_one_error(
     argv, code, error, tms_doc, tmp_path, monkeypatch, capsys
 ):
-    # A refused sweep must stop before the propagator runs, not after it.
+    # A refused step must stop before the propagator runs, not after it.
     def refuse(*args, **kwargs):
-        raise AssertionError("the Taylor sweep ran on a refused step")
+        raise AssertionError("the Taylor stencil ran on a refused step")
 
     if error == "BudgetError":
-        monkeypatch.setattr(oracle, "_taylor_sweep", refuse)
+        monkeypatch.setattr(oracle, "_taylor_stencil", refuse)
     state = write_json(tmp_path / "s11.json", [{"occ": [1, 1], "re": 1.0, "im": 0.0}])
     files = {"M": tms_doc, "S": state}
     assert cli_main([files.get(arg, arg) for arg in argv]) == code

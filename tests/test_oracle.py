@@ -193,21 +193,23 @@ def test_squeezed_vacuum_overlap():
     gen = squeezer_generator(0, 1)
     layout = ModeLayout(1, 20)
     theta = 0.1
-    _, _, sweep = oracle._propagation(gen, StateVector.vacuum(layout))
+    op, _, shell, v0 = oracle._placed(gen, StateVector.vacuum(layout))
     # The vacuum is the first state of its sector.
-    overlap = abs(sweep(0.0, theta, 2)[1][0]) ** 2
+    overlap = abs(oracle._stencil(op, v0, shell, theta, two_sided=False)()[1][0]) ** 2
     assert overlap == pytest.approx(1.0 / math.cosh(theta), abs=1e-12)
 
 
-@pytest.mark.parametrize("theta", [0.08, -0.08, 0.0])
+@pytest.mark.parametrize("theta", [0.08, -0.08, 0.04, -0.04])
 def test_sweep_matches_exact_unitary(theta):
     rng = np.random.default_rng(57)
     layout = ModeLayout(2, 9)
     gen = random_generator(rng, 2, 0.5)
     state = random_state(rng, layout, modes=[0, 1], terms=2, max_occ=2)
-    _, v0, sweep = oracle._propagation(gen, state)
+    op, _, shell, v0 = oracle._placed(gen, state)
+    rows = oracle._stencil(op, v0, shell, 0.08, two_sided=True)()
+    row = rows[[-0.08, -0.04, 0.04, 0.08].index(theta)]
     expected = dense_propagator(gen, theta, layout, oracle._sector_of(state)) @ v0
-    assert np.max(np.abs(sweep(0.0, theta, 2)[1] - expected)) < 1e-12
+    assert np.max(np.abs(row - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("modes, cutoff", [(1, 10), (2, 9), (3, 8), (4, 8)])
@@ -223,12 +225,12 @@ def test_sector_sweep_matches_the_whole_layout(modes, cutoff):
         state = random_state(
             rng, layout, modes=range(min(modes, 2)), terms=int(rng.integers(1, 4)), max_occ=2
         )
-        sector, v0, sweep = oracle._propagation(gen, state)
+        op, sector, shell, v0 = oracle._placed(gen, state)
         assert sector.size < layout.basis_size or modes == 1
-        box = oracle._taylor_sweep(
-            oracle._prepared(gen, layout, *whole), state.to_dense(), -1e-3, 1e-3, 5
-        )
-        assert np.max(np.abs(sweep(-1e-3, 1e-3, 5) - box[:, sector])) < 1e-12
+        whole_op = oracle._prepared(gen, layout, *whole)
+        box = oracle._taylor_stencil(whole_op, state.to_dense(), 1e-3, True)
+        rows = oracle._stencil(op, v0, shell, 1e-3, two_sided=True)()
+        assert np.max(np.abs(rows - box[:, sector])) < 1e-12
         # What the sector leaves out weighs less than the shell budget.
         outside = np.ones(layout.basis_size, dtype=bool)
         outside[sector] = False
@@ -243,23 +245,24 @@ def test_single_parity_sector_sweeps_as_the_both_parity_sector():
         state = random_state(rng, layout, modes=[0, 1], terms=2, max_occ=2, parity=parity)
         n_max, classes = oracle._sector_of(state)
         assert classes == (parity,)
-        sector, _, sweep = oracle._propagation(gen, state)
+        op, sector, shell, v0 = oracle._placed(gen, state)
         both = oracle._sector(layout, n_max, (0, 1))
         v = np.zeros(both.size, dtype=np.complex128)
         v[np.searchsorted(both, state.ranks)] = state.amplitudes
-        out = oracle._taylor_sweep(oracle._prepared(gen, layout, n_max, (0, 1)), v, -1e-3, 1e-3, 5)
+        out = oracle._taylor_stencil(oracle._prepared(gen, layout, n_max, (0, 1)), v, 1e-3, True)
         inside = np.isin(both, sector)
         # H never changes the parity, so the other parity stays exactly empty.
         assert not np.any(out[:, ~inside])
-        assert np.max(np.abs(out[:, inside] - sweep(-1e-3, 1e-3, 5))) < 1e-13
+        rows = oracle._stencil(op, v0, shell, 1e-3, two_sided=True)()
+        assert np.max(np.abs(out[:, inside] - rows)) < 1e-13
 
 
 def test_sweep_refuses_a_nan_theta():
     state = StateVector.from_occupation(ModeLayout(2, 7), [1, 1])
-    _, _, sweep = oracle._propagation(two_mode_squeezer_generator(0, 1, 2), state)
-    for start, stop in ((0.0, math.nan), (math.nan, 0.0)):
+    op, _, shell, v0 = oracle._placed(two_mode_squeezer_generator(0, 1, 2), state)
+    for two_sided in (False, True):
         with pytest.raises(BudgetError, match="exceeds the budget"):
-            sweep(start, stop, 2)
+            oracle._stencil(op, v0, shell, math.nan, two_sided=two_sided)
 
 
 def test_qfi_fidelity_pure_negative_step():
@@ -267,6 +270,12 @@ def test_qfi_fidelity_pure_negative_step():
     state = StateVector.from_occupation(ModeLayout(2, 9), [1, 1])
     backward = qfi_fidelity_pure(gen, state, dtheta=-1e-3)
     assert backward.value == pytest.approx(20.0, abs=1e-5)
+    # Only |dtheta| enters: the bytes of the positive step.
+    forward = qfi_fidelity_pure(gen, state, dtheta=1e-3)
+    assert (backward.value.hex(), backward.error.hex()) == (
+        forward.value.hex(),
+        forward.error.hex(),
+    )
 
 
 def test_extract_bogoliubov_squeezer():
@@ -489,13 +498,14 @@ def test_coherent_state_refuses_oversize_dense_vector_before_building_it():
 def test_shell_budget_violation():
     gen = squeezer_generator(0, 1)
     layout = ModeLayout(1, 4)
-    # An input on the shell is refused before any sweep.
+    # An input on the shell is refused before any stencil.
     with pytest.raises(BudgetError, match="raise the cutoff"):
-        oracle._propagation(gen, StateVector.from_occupation(layout, [3]))
-    # So is a sweep that carries weight onto it: |4> at theta = 0.3.
-    _, _, sweep = oracle._propagation(gen, StateVector.vacuum(layout))
+        oracle._placed(gen, StateVector.from_occupation(layout, [3]))
+    # So is a stencil that carries weight onto it: |4> at theta = 0.3.
+    op, _, shell, v0 = oracle._placed(gen, StateVector.vacuum(layout))
+    rows = oracle._stencil(op, v0, shell, 0.3, two_sided=False)
     with pytest.raises(BudgetError, match="raise the cutoff"):
-        sweep(0.0, 0.3, 2)
+        rows()
 
 
 def test_shell_coupling_small_with_headroom():
@@ -624,16 +634,15 @@ def test_derivative_states_hermitian_check_runs_on_read(monkeypatch):
 
 
 def _count_evolutions(monkeypatch) -> list:
-    """Record each ``_taylor_sweep`` and ``_taylor_stencil`` call as (name, last argument)."""
+    """Record each ``_taylor_stencil`` call, the oracle's one evolution, as (h, two_sided)."""
     calls = []
-    for name in ("_taylor_sweep", "_taylor_stencil"):
-        real = getattr(oracle, name)
+    real = oracle._taylor_stencil
 
-        def counting(*args, _name=name, _real=real):
-            calls.append((_name, args[-1]))
-            return _real(*args)
+    def counting(op, v, h, two_sided):
+        calls.append((h, two_sided))
+        return real(op, v, h, two_sided)
 
-        monkeypatch.setattr(oracle, name, counting)
+    monkeypatch.setattr(oracle, "_taylor_stencil", counting)
     return calls
 
 
@@ -644,7 +653,7 @@ def test_derivative_states_reading_rho2_alone_runs_one_stencil(monkeypatch):
     ders = derivative_states(gen, state, dtheta=1e-4, dtheta2=1e-3, keep=ModeSubset.of([0]))
     assert calls == []
     ders.rho2
-    assert calls == [("_taylor_stencil", 1e-3)]
+    assert calls == [(1e-3, True)]
 
 
 def test_derivative_states_psi1_and_rho1_share_one_stencil(monkeypatch):
@@ -655,7 +664,7 @@ def test_derivative_states_psi1_and_rho1_share_one_stencil(monkeypatch):
     psi1 = ders.psi1
     ders.rho1
     assert ders.psi1 is psi1
-    assert calls == [("_taylor_stencil", 1e-4)]
+    assert calls == [(1e-4, True)]
 
 
 def test_derivative_states_negative_steps_give_the_same_bytes():
@@ -674,8 +683,7 @@ def test_derivative_states_negative_steps_give_the_same_bytes():
 def test_oracle_compare_sweeps_twice_and_builds_no_density_matrix(
     monkeypatch, tmp_path, capsys
 ):
-    # A stencil counts as a sweep: one sweep for the fidelity QFI, one
-    # stencil for psi1.
+    # Two stencils: the + side for the fidelity QFI, both sides for psi1.
     calls = {"reduced": 0}
     sweeps = _count_evolutions(monkeypatch)
     real_reduced = oracle._reduced_dense
@@ -703,7 +711,7 @@ def test_oracle_compare_sweeps_twice_and_builds_no_density_matrix(
     assert cli_main(["oracle-compare", str(model), "--state", str(state)]) == 0
     assert json.loads(capsys.readouterr().out)["agree"] is True
     assert calls["reduced"] == 0
-    assert len(sweeps) <= 2
+    assert sorted(two_sided for _, two_sided in sweeps) == [False, True]
 
 
 def test_shell_monitor_rejects_non_finite_vector():
@@ -736,18 +744,20 @@ def test_bad_steps_raise_value_error(call, step):
 
 def test_sweep_over_norm_budget_refused_before_expm_multiply(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the Taylor sweep ran on a refused sweep")
+        raise AssertionError("the Taylor stencil ran on a refused step")
 
     gen = two_mode_squeezer_generator(0, 1, 2)
     state = StateVector.from_occupation(ModeLayout(2, 7), [1, 1])
     norm = oracle._prepared(gen, state.layout, *oracle._sector_of(state)).norm
-    monkeypatch.setattr(oracle, "_taylor_sweep", refuse)
+    monkeypatch.setattr(oracle, "_taylor_stencil", refuse)
     theta = 1.01 * oracle.SWEEP_NORM_BUDGET / norm
-    _, _, sweep = oracle._propagation(gen, state)
+    op, _, shell, v0 = oracle._placed(gen, state)
+    # The span evaluated: h on the + side alone, 2h on both sides.
     for evolve in (
-        lambda: sweep(0.0, theta, 2),
-        lambda: sweep(0.0, -theta, 2),
+        lambda: oracle._stencil(op, v0, shell, theta, two_sided=False),
+        lambda: oracle._stencil(op, v0, shell, theta / 2.0, two_sided=True),
         lambda: qfi_fidelity_pure(gen, state, dtheta=theta),
+        lambda: qfi_fidelity_pure(gen, state, dtheta=-theta),
         lambda: derivative_states(gen, state, dtheta=theta / 2.0),
     ):
         with pytest.raises(BudgetError, match="exceeds the budget"):
@@ -789,7 +799,7 @@ def test_generator_and_state_mode_counts_must_match():
     for evolve in (
         lambda: qfi_fidelity_pure(gen, state),
         lambda: derivative_states(gen, state),
-        lambda: oracle._propagation(gen, state),
+        lambda: oracle._placed(gen, state),
     ):
         with pytest.raises(ValueError, match="^generator and layout have different mode counts$"):
             evolve()

@@ -1,15 +1,16 @@
-"""The oracle's Taylor sweep against ``scipy.sparse.linalg.expm_multiply``.
+"""The oracle's Taylor stencil against ``scipy.sparse.linalg.expm_multiply``.
 
-``oracle._taylor_sweep`` runs the interval algorithm of Al-Mohy & Higham
-(2011, algorithm 5.2) for one vector as ``expm_multiply`` runs it, on an
-operator prepared once on a sector of the basis and multiplied in numpy
-(``oracle._product``).  Given -iH on the same sector from the COO
-reference, up to t||A||_1 = 63.4 it must return the same bits; above
-that its Taylor step is chosen from ||A||_1 alone, which is more
-conservative than scipy's estimates of ||A^p||, and its error must stay
-within u * t||A||_1 of the exact propagation (u = 2^-53).
-``oracle._taylor_stencil`` must return the bits of the sweeps over
-[0, h] on A and on -A.
+``oracle._taylor_stencil`` is the oracle's one evolution: exp(theta A) v
+at theta = h/2 and h, and for two-sided stencils also at -h and -h/2, on
+an operator prepared once on a sector of the basis and multiplied in
+numpy (``oracle._product``).  Given -iH on the same sector from the COO
+reference, up to t||A||_1 = 63.4 its + side must return the bits of
+``expm_multiply`` over [0, h] at 3 points on A (the interval algorithm
+of Al-Mohy & Higham, 2011, algorithm 5.2, for one vector), and its
+- side those on -A; above that its Taylor step is chosen from ||A||_1
+alone, which is more conservative than scipy's estimates of ||A^p||,
+and its error must stay within u * t||A||_1 of the exact propagation
+(u = 2^-53).
 """
 
 import numpy as np
@@ -48,73 +49,71 @@ def _operator_and_vector(seed: int, modes: int = 3, cutoff: int = 4, whole: bool
     return op, coo_hamiltonian(gen, layout, sector).matrix, v / np.linalg.norm(v)
 
 
-def _grid(op, span_norm: float, start: str) -> tuple[float, float]:
-    span = span_norm / op.shifted_norm
-    lo = 0.0 if start == "zero" else -0.5 * span
-    return lo, lo + span
+def _stencil_reference(A, v: np.ndarray, h: float) -> np.ndarray:
+    """The rows -h, -h/2, h/2, h from ``expm_multiply`` over [0, h] on A and on -A."""
+    plus = expm_multiply(A, v, start=0.0, stop=h, num=3, endpoint=True)
+    minus = expm_multiply(-A, v, start=0.0, stop=h, num=3, endpoint=True)
+    return np.stack((minus[2], minus[1], plus[1], plus[2]))
 
 
-def _branch(span_norm: float, num: int) -> int:
-    """scipy's branch: 0 for q <= s, 1 for q % s == 0, 2 otherwise (q = num - 1)."""
-    _, s = oracle._taylor_degree(span_norm)
-    q = num - 1
-    return 0 if q <= s else 1 if q % s == 0 else 2
+def _assert_stencil_bits(op, A, v: np.ndarray, h: float) -> None:
+    """Both sides, and the + side alone, keep the bits of ``expm_multiply``."""
+    expected = _stencil_reference(A, v, h)
+    assert oracle._taylor_stencil(op, v, h, True).tobytes() == expected.tobytes()
+    assert oracle._taylor_stencil(op, v, h, False).tobytes() == expected[2:].tobytes()
 
 
 _EXACT_NORMS = [1e-3, 0.1, 1.0, 10.0, 20.0, 40.0, 63.0]
-_NUMS = [2, 3, 5, 7]
 
 
-def test_exact_cases_cover_every_branch_at_few_points():
-    branches = {_branch(norm, num) for norm in _EXACT_NORMS for num in (2, 3, 5)}
-    assert branches == {0, 1, 2}
+def test_exact_cases_cover_both_stencil_branches():
+    # One step over [0, h] (the shared terms) and two steps per side.
+    assert {oracle._taylor_degree(norm)[1] > 1 for norm in _EXACT_NORMS} == {False, True}
 
 
-@pytest.mark.parametrize("start", ["zero", "negative"])
-@pytest.mark.parametrize("num", _NUMS)
 @pytest.mark.parametrize("span_norm", _EXACT_NORMS)
-def test_sweep_is_bit_identical_to_expm_multiply(span_norm, num, start):
-    op, A, v = _operator_and_vector(int(span_norm * 1000) + num)
-    lo, hi = _grid(op, span_norm, start)
-    expected = expm_multiply(A, v, start=lo, stop=hi, num=num, endpoint=True)
-    assert oracle._taylor_sweep(op, v, lo, hi, num).tobytes() == expected.tobytes()
+def test_stencil_is_bit_identical_to_expm_multiply_on_both_signs(span_norm):
+    op, A, v = _operator_and_vector(int(span_norm * 1000) + 11)
+    _assert_stencil_bits(op, A, v, span_norm / op.shifted_norm)
 
 
-@pytest.mark.parametrize("num", [2, 3, 5])
 @pytest.mark.parametrize("span_norm", [70.0, 100.0, 400.0, 1000.0])
-def test_sweep_past_exact_range_is_accurate(span_norm, num):
+def test_stencil_past_exact_range_is_accurate(span_norm):
     # On the whole layout: on some sectors scipy's own error passes 4 u t||A||_1.
-    op, A, v = _operator_and_vector(int(span_norm) + num, whole=True)
-    lo, hi = _grid(op, span_norm, "negative")
+    op, A, v = _operator_and_vector(int(span_norm) + 3, whole=True)
+    h = span_norm / op.shifted_norm
     # exp(-i theta H) v in the eigenbasis of the Hermitian H = iA.
     energies, basis = np.linalg.eigh(1j * A.toarray())
     coefficients = basis.conj().T @ v
-    thetas = np.linspace(lo, hi, num)
+    thetas = (-h, -h / 2.0, h / 2.0, h)
     exact = np.array([basis @ (np.exp(-1j * t * energies) * coefficients) for t in thetas])
-    ours = oracle._taylor_sweep(op, v, lo, hi, num)
+    ours = oracle._taylor_stencil(op, v, h, True)
     # Past t||A||_1 = 63.4, expm_multiply picks its step from onenormest,
     # which draws from numpy's global generator: seed it, then restore it.
     saved = np.random.get_state()
     np.random.seed(0)
     try:
-        theirs = expm_multiply(A, v, start=lo, stop=hi, num=num, endpoint=True)
+        theirs = _stencil_reference(A, v, h)
     finally:
         np.random.set_state(saved)
     # Both meet the backward-error tolerance u, so they agree to a few
     # u * t||A||_1; the kernel's more conservative step keeps it within one.
     assert np.max(np.abs(ours - exact)) <= _UNIT_ROUNDOFF * span_norm
     assert np.max(np.abs(ours - theirs)) <= 4 * _UNIT_ROUNDOFF * span_norm
+    assert oracle._taylor_stencil(op, v, h, False).tobytes() == ours[2:].tobytes()
 
 
 def test_descending_sweep_returns_the_ascending_rows_reversed():
+    # The - side, from theta = 0 down to -h, is the + side on -A, reversed.
     rng = np.random.default_rng(8)
     gen = random_generator(rng, 2, 0.7)
-    # At cutoff 9 every vector of the sweep meets the boundary-shell budget.
     state = StateVector.from_occupation(ModeLayout(2, 9), [1, 1])
-    _, v0, sweep = oracle._propagation(gen, state)
-    A = coo_hamiltonian(gen, state.layout, oracle._sector_of(state)).matrix
-    expected = expm_multiply(A, v0, start=-1e-2, stop=3e-2, num=5, endpoint=True)
-    assert sweep(3e-2, -1e-2, 5).tobytes() == expected[::-1].tobytes()
+    op, _, _, v0 = oracle._placed(gen, state)
+    for span_norm in (1e-3, 1.0, 40.0, 400.0):
+        h = span_norm / op.shifted_norm
+        ascending = oracle._taylor_stencil(oracle._negated(op), v0, h, False)
+        descending = oracle._taylor_stencil(op, v0, h, True)[:2]
+        assert descending.tobytes() == ascending[::-1].tobytes()
 
 
 def test_zero_operator_sweep_keeps_the_vector():
@@ -126,11 +125,8 @@ def test_zero_operator_sweep_keeps_the_vector():
     assert oracle._taylor_degree(0.0) == (0, 1)
     rng = np.random.default_rng(3)
     v = rng.normal(size=layout.basis_size) + 1j * rng.normal(size=layout.basis_size)
-    for num in (2, 3, 5):
-        out = oracle._taylor_sweep(op, v, 0.0, 1.0, num)
-        expected = expm_multiply(A, v, start=0.0, stop=1.0, num=num, endpoint=True)
-        assert out.tobytes() == expected.tobytes()
-        assert np.array_equal(out, np.tile(v, (num, 1)))
+    _assert_stencil_bits(op, A, v, 1.0)
+    assert np.array_equal(oracle._taylor_stencil(op, v, 1.0, True), np.tile(v, (4, 1)))
 
 
 def test_theta_table_is_scipys():
@@ -145,30 +141,9 @@ def test_taylor_degree_is_scipys_under_condition_3_13():
         assert oracle._taylor_degree(norm) == expected
 
 
-def _stencil_reference(sweep_plus: np.ndarray, sweep_minus: np.ndarray) -> np.ndarray:
-    """The rows -h, -h/2, h/2, h from three-point sweeps over [0, h] on A and on -A."""
-    return np.stack((sweep_minus[2], sweep_minus[1], sweep_plus[1], sweep_plus[2]))
-
-
-def test_exact_cases_cover_both_stencil_branches():
-    # One step over [0, h] (the shared terms) and a step per point.
-    assert {oracle._taylor_degree(norm)[1] > 1 for norm in _EXACT_NORMS} == {False, True}
-
-
-@pytest.mark.parametrize("span_norm", _EXACT_NORMS)
-def test_stencil_is_bit_identical_to_expm_multiply_on_both_signs(span_norm):
-    op, A, v = _operator_and_vector(int(span_norm * 1000) + 11)
-    h = span_norm / op.shifted_norm
-    expected = _stencil_reference(
-        expm_multiply(A, v, start=0.0, stop=h, num=3, endpoint=True),
-        expm_multiply(-A, v, start=0.0, stop=h, num=3, endpoint=True),
-    )
-    assert oracle._taylor_stencil(op, v, h).tobytes() == expected.tobytes()
-
-
 @st.composite
 def _stencil_cases(draw):
-    """A random generator, sector, vector (some entries +0 or -0) and step."""
+    """A random operator with its COO -iH, a vector (some entries +0 or -0) and a step."""
     seed = draw(st.integers(0, 2**32 - 1))
     modes = draw(st.integers(1, 3))
     cutoff = draw(st.integers(2, 6))
@@ -179,22 +154,27 @@ def _stencil_cases(draw):
     gen = random_generator(rng, modes, draw(st.floats(0.05, 3.0)))
     layout = ModeLayout(modes, cutoff)
     op = oracle._prepared(gen, layout, n_max, parity)
+    A = coo_hamiltonian(gen, layout, (n_max, parity)).matrix
     dim = oracle._sector(layout, n_max, parity).size
     # A sparse vector leaves exact zeros in the first terms K_p; where its
     # zeros are -0 they must still sum as on -A.
     support = rng.random(dim) < draw(st.sampled_from([0.1, 0.8, 1.0]))
     zero = complex(-0.0, -0.0) if draw(st.booleans()) else 0j
     v = np.where(support, rng.normal(size=dim) + 1j * rng.normal(size=dim), zero)
-    span_norm = draw(st.floats(1e-8, 40.0))
-    return op, v, span_norm / max(op.shifted_norm, 1.0)
+    span_norm = draw(st.floats(1e-8, 63.0))
+    return op, A, v, span_norm / max(op.shifted_norm, 1.0)
 
 
 @settings(max_examples=500, deadline=None)
 @given(_stencil_cases())
 def test_stencil_keeps_the_bits_of_the_sweeps_on_a_and_minus_a(case):
-    op, v, h = case
-    expected = _stencil_reference(
-        oracle._taylor_sweep(op, v, 0.0, h, 3),
-        oracle._taylor_sweep(oracle._negated(op), v, 0.0, h, 3),
-    )
-    assert oracle._taylor_stencil(op, v, h).tobytes() == expected.tobytes()
+    op, A, v, h = case
+    if op.shifted_norm != 0:
+        _assert_stencil_bits(op, A, v, h)
+        return
+    # No Taylor term is added to v, so a -0 of v stays -0 in the rows;
+    # expm_multiply first steps to theta = 0, adding 0 * A v, which makes
+    # it +0.  The values agree.
+    expected = _stencil_reference(A, v, h)
+    assert np.array_equal(oracle._taylor_stencil(op, v, h, True), expected)
+    assert np.array_equal(oracle._taylor_stencil(op, v, h, False), expected[2:])

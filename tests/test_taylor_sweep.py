@@ -77,10 +77,26 @@ def test_stencil_is_bit_identical_to_expm_multiply_on_both_signs(span_norm):
     _assert_stencil_bits(op, A, v, span_norm / op.shifted_norm)
 
 
+@pytest.mark.parametrize("start", ["zero", "negative"])
+@pytest.mark.parametrize("draw", [2, 3, 5, 7])
+@pytest.mark.parametrize("span_norm", _EXACT_NORMS)
+def test_sweep_is_bit_identical_to_expm_multiply(span_norm, draw, start):
+    # A stencil starting at theta = 0 is the + side alone; one starting at
+    # -h has both sides.  ``draw`` picks the operator, sector and vector.
+    op, A, v = _operator_and_vector(int(span_norm * 1000) + draw)
+    h = span_norm / op.shifted_norm
+    expected = _stencil_reference(A, v, h)
+    if start == "zero":
+        assert oracle._taylor_stencil(op, v, h, False).tobytes() == expected[2:].tobytes()
+    else:
+        assert oracle._taylor_stencil(op, v, h, True).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("draw", [2, 3, 5])
 @pytest.mark.parametrize("span_norm", [70.0, 100.0, 400.0, 1000.0])
-def test_stencil_past_exact_range_is_accurate(span_norm):
+def test_sweep_past_exact_range_is_accurate(span_norm, draw):
     # On the whole layout: on some sectors scipy's own error passes 4 u t||A||_1.
-    op, A, v = _operator_and_vector(int(span_norm) + 3, whole=True)
+    op, A, v = _operator_and_vector(int(span_norm) + draw, whole=True)
     h = span_norm / op.shifted_norm
     # exp(-i theta H) v in the eigenbasis of the Hermitian H = iA.
     energies, basis = np.linalg.eigh(1j * A.toarray())

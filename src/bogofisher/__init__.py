@@ -79,7 +79,6 @@ __all__ = [
     "FidelityEstimate",
     "FirstOrderPair",
     "GeneratorK",
-    "GeneratorSpec",
     "ModeLayout",
     "ModeSubset",
     "ModelFormatError",
@@ -95,14 +94,12 @@ __all__ = [
     "apply_generator",
     "average_particle_number",
     "beam_splitter",
-    "beam_splitter_generator",
     "build_generator",
     "coherent_state",
     "derivative_states",
     "eval_named_states",
     "fit_scaling",
     "generator_from_model",
-    "independent_squeezers_generator",
     "inner_product",
     "load_model",
     "optimize_state",
@@ -121,11 +118,9 @@ __all__ = [
     "scan_fock",
     "serialize_model",
     "single_mode_squeezer",
-    "squeezer_generator",
     "tracing_loss",
     "transform_first_order",
     "two_mode_squeezer",
-    "two_mode_squeezer_generator",
     "uhlmann_fidelity",
     "vacuum_loss_bound",
     "vacuum_qfi",

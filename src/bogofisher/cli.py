@@ -85,7 +85,6 @@ def _build_parser() -> _Parser:
     p_named.add_argument("--k", type=int, default=0)
     p_named.add_argument("--kprime", type=int, default=1)
     p_named.add_argument("--keep", type=_parse_modes, default=None)
-    p_named.add_argument("--theta", type=float, default=DEFAULT_THETA)
 
     p_opt = sub.add_parser("optimize", help="maximize QFI over a Fock support")
     p_opt.add_argument("model")
@@ -243,9 +242,7 @@ def _cmd_scan(args) -> int:
 def _cmd_named(args) -> int:
     model = load_model(_read_json(args.model))
     keep = _keep_subset(args.keep)
-    reports = harness.eval_named_states(
-        model, args.n, k=args.k, kprime=args.kprime, keep=keep, theta=args.theta
-    )
+    reports = harness.eval_named_states(model, args.n, k=args.k, kprime=args.kprime, keep=keep)
     payload = {
         name: {
             "qfi": rep.qfi,

@@ -282,7 +282,6 @@ def eval_named_states(
     k: int = 0,
     kprime: int = 1,
     keep: ModeSubset | None = None,
-    theta: float = DEFAULT_THETA,
 ) -> dict[str, NamedStateReport]:
     """Evaluate the example two-mode states at occupation scale n.
 

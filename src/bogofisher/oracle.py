@@ -1,12 +1,14 @@
 """Brute-force ground truth on the truncated Fock space.
 
-A quadratic Hermitian Hamiltonian
+The quadratic anti-Hermitian generator K of the first-order route
+(``perturb.GeneratorK``, from ``perturb.build_generator``),
 
-    H = sum_mn h_mn a_m^dag a_n
-      + (1/2) sum_pq g_pq a_p^dag a_q^dag + (1/2) sum_pq conj(g_pq) a_p a_q
+    K = sum_mn N_mn a_m^dag a_n
+      + (1/2) sum_pq C_pq a_p^dag a_q^dag - (1/2) sum_pq conj(C_pq) a_p a_q,
 
-generates the exact propagator U(theta) = exp(-i theta H).  Each term
-of H changes the total occupation by 0 or +-2, so each oracle call
+is -iH for the quadratic Hermitian Hamiltonian H = iK, and generates the
+exact propagator U(theta) = exp(theta K) = exp(-i theta H).  Each term
+of K changes the total occupation by 0 or +-2, so each oracle call
 propagates on its input state's own sector of the truncated basis
 (``_sector_of``, ``_sector``): the states with every mode at most the
 cutoff, a total occupation of at most N_max, the input's largest total
@@ -16,14 +18,14 @@ boundary shell that guards the truncation holds the states within two
 levels of the cutoff in some mode or of N_max in total.
 
 The oracle gathers one sparse operator per generator and sector,
-A - mu I with A = -iH on the sector and mu its mean diagonal entry (see
-``GeneratorSpec`` and ``_prepared``).  Its entries are held as row and
-column index arrays sorted by row and column; the terms of each entry
-are summed by ``fock._sum_by`` in COO order, from +0 (only a diagonal
-entry has several: one per h coefficient, in the order of its flat
-index).  The product with a vector is computed
-in numpy (``_product``): the entries are rounded as ``complex * complex``
-and each row's terms are added one by one from +0, in column order.
+A - mu I with A = K on the sector and mu its mean diagonal entry (see
+``_prepared``).  Its entries are held as row and column index arrays
+sorted by row and column; the terms of each entry are summed by
+``fock._sum_by`` in COO order, from +0 (only a diagonal entry has
+several: one per number coefficient, in the order of its flat index).
+The product with a vector is computed in numpy (``_product``): the
+entries are rounded as ``complex * complex`` and each row's terms are
+added one by one from +0, in column order.
 ``_taylor_stencil`` is the one evolution: it applies U(theta) to a
 state vector at theta = h/2 and h, and for the symmetric finite
 differences also at -h and -h/2, with the truncated-Taylor interval
@@ -58,7 +60,6 @@ from typing import Callable
 
 import numpy as np
 
-from .bogoliubov import BogoliubovFirstOrder
 from .errors import BudgetError
 from .fock import (
     DENSE_DIM_BUDGET,
@@ -67,120 +68,27 @@ from .fock import (
     ModeSubset,
     StateVector,
     _check_mode,
-    _check_mode_pair,
     _cmul,
     _place_values,
     _reduced_dense,
     _sum_by,
     _unique_slots,
 )
-from .perturb import build_generator
+from .perturb import GeneratorK, build_generator
 
 DEFAULT_DTHETA_FIRST = 1e-4
 DEFAULT_DTHETA_SECOND = 1e-3
 DEFAULT_DTHETA_FIDELITY = 1e-3
 SHELL_BUDGET = 1e-10
-# Largest span times ||H||_1 of one stencil: h for the + side alone, 2h
+# Largest span times ||K||_1 of one stencil: h for the + side alone, 2h
 # for both sides.  The cost of a Taylor step grows linearly in it; the
 # oracle's finite-difference steps need about 1.
 SWEEP_NORM_BUDGET = 1e3
 
-_HERMITIAN_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class GeneratorSpec:
-    """Coefficients of a quadratic Hermitian Hamiltonian.
-
-    ``h`` is the Hermitian number-conserving block, ``g`` the symmetric
-    pair-creation block (its conjugate closes the Hermitian form).
-
-    The trace-shifted sparse operator -iH - mu I of each sector that the
-    Taylor stencil multiplies by, with the 1-norms of -iH and of it
-    (``_Operator``), is gathered on first use and kept on the instance,
-    keyed by (mode_count, cutoff, N_max, parity classes), so every oracle
-    call of one command on one sector shares one build.  The gather
-    places this instance's coefficients through index arrays that every
-    generator with the same nonzero pattern on that sector shares
-    (``_Template``), so a fresh instance does no index arithmetic.
-    ``h`` and ``g`` are read-only copies made here, so a kept operator
-    cannot go stale.
-    """
-
-    h: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self) -> None:
-        h = np.array(self.h, dtype=np.complex128)
-        g = np.array(self.g, dtype=np.complex128)
-        if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape != g.shape:
-            raise ValueError("h and g must be square matrices of equal dimension")
-        # First: a NaN residual or an inf scale would pass the checks below.
-        for name, block in (("h", h), ("g", g)):
-            if not np.isfinite(block).all():
-                raise ValueError(f"{name} block must be finite")
-        scale_h = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
-        if float(np.max(np.abs(h - h.conj().T))) > _HERMITIAN_TOL * scale_h:
-            raise ValueError("h block must be Hermitian")
-        scale_g = max(1.0, float(np.max(np.abs(g))) if g.size else 1.0)
-        if float(np.max(np.abs(g - g.T))) > _HERMITIAN_TOL * scale_g:
-            raise ValueError("g block must be symmetric")
-        for arr in (h, g):
-            arr.flags.writeable = False
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "_operators", {})
-        # The key of this generator's ``_Template``: the flat indices of the
-        # nonzeros of h and of triu(g).
-        pattern = (np.flatnonzero(h).tolist(), np.flatnonzero(np.triu(g)).tolist())
-        object.__setattr__(self, "_pattern", tuple(map(tuple, pattern)))
-
-    @property
-    def mode_count(self) -> int:
-        return int(self.h.shape[0])
-
-
-def squeezer_generator(k: int, mode_count: int, strength: float = 1.0) -> GeneratorSpec:
-    """H = strength * i(a_k^2 - a_k^dag^2)/2; beta_kk = sinh(strength*theta)."""
-    g = np.zeros((mode_count, mode_count), dtype=np.complex128)
-    g[k, k] = -1j * strength
-    return GeneratorSpec(np.zeros((mode_count, mode_count)), g)
-
-
-def two_mode_squeezer_generator(k: int, kprime: int, mode_count: int) -> GeneratorSpec:
-    """H = i(a_k a_k' - a_k^dag a_k'^dag); beta_kk' = beta_k'k = sinh(theta)."""
-    _check_mode_pair(mode_count, k, kprime)
-    g = np.zeros((mode_count, mode_count), dtype=np.complex128)
-    g[k, kprime] = -1j
-    g[kprime, k] = -1j
-    return GeneratorSpec(np.zeros((mode_count, mode_count)), g)
-
-
-def beam_splitter_generator(k: int, kprime: int, mode_count: int) -> GeneratorSpec:
-    """H = i(a_k^dag a_k' - a_k a_k'^dag); alpha1_kk' = 1, alpha1_k'k = -1."""
-    _check_mode_pair(mode_count, k, kprime)
-    h = np.zeros((mode_count, mode_count), dtype=np.complex128)
-    h[k, kprime] = 1j
-    h[kprime, k] = -1j
-    return GeneratorSpec(h, np.zeros((mode_count, mode_count)))
-
-
-def independent_squeezers_generator(strengths) -> GeneratorSpec:
-    """One diagonal squeezer per mode with the given strengths."""
-    strengths = np.asarray(strengths, dtype=float)
-    g = np.diag(-1j * strengths).astype(np.complex128)
-    return GeneratorSpec(np.zeros_like(g), g)
-
-
-def generator_from_model(model: BogoliubovFirstOrder) -> GeneratorSpec:
-    """H = iK, the oracle's generator for every validated model.
-
-    The first-order route models U(theta) = U0 exp(theta K) with the
-    theta-independent free evolution U0 = prod_n G_n^(n_n), which changes
-    neither the pure nor any reduced QFI.
-    """
-    K = build_generator(model)  # validates the model
-    return GeneratorSpec(1j * K.number, 1j * K.pair_create)
+# The oracle propagates the first-order route's K of a validated model:
+# exp(theta K), whose free evolution U0 = prod_n G_n^(n_n) is left out, as
+# it changes neither the pure nor any reduced QFI.
+generator_from_model = build_generator
 
 
 def _sector_of(state: StateVector) -> tuple[int, tuple[int, ...]]:
@@ -207,7 +115,7 @@ def _sector_of(state: StateVector) -> tuple[int, tuple[int, ...]]:
 def _sector(layout: ModeLayout, n_max: int, parity: tuple[int, ...]) -> np.ndarray:
     """Sorted int64 ranks of the states with total <= ``n_max`` of a parity in ``parity``.
 
-    A quadratic H changes the total occupation by 0 or +-2, so these
+    A quadratic K changes the total occupation by 0 or +-2, so these
     states are closed under it up to the pair creations past ``n_max``.
     Built mode by mode from the prefixes of the first modes, the last
     mode taking only the allowed parities; ``n_max`` has one of them
@@ -242,24 +150,27 @@ def _sector(layout: ModeLayout, n_max: int, parity: tuple[int, ...]) -> np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class _Template:
-    """Where each term of -iH - mu I lands in one sector, for one nonzero pattern.
+    """Where each term of K - mu I lands in one sector, for one nonzero pattern.
 
-    The coefficients are the entries of h at the flat indices ``h_entries``
-    and of triu(g) at ``g_entries``.  Coefficient k multiplies the next
-    ``block_sizes[k]`` ladder ``amplitude`` values: these products are the
-    terms of H, followed by the conjugates of the pair-creation products
-    (from ``pair_start`` on), which are the pair-annihilation terms.
+    The coefficients are the entries of K.number at the flat indices
+    ``number_entries`` and of triu(K.pair_create) at ``pair_entries``.
+    Coefficient k multiplies the next ``block_sizes[k]`` ladder
+    ``amplitude`` values: these products are the number and
+    pair-creation terms of K, followed by minus the conjugates of the
+    pair-creation products (from ``pair_start`` on), which are the
+    pair-annihilation terms.
 
     ``rows`` and ``cols`` are the pattern of A - mu I in sector indices,
-    sorted by row and then by column: the entries of H and one diagonal
+    sorted by row and then by column: the entries of K and one diagonal
     entry per row, at ``diagonal``.  Term k is summed into the entry
     ``slots[k]``; ``fock._sum_by`` adds each entry's terms in COO order
-    from +0.  Only diagonal entries have more than one term: one per h
-    coefficient, in the order of ``h_entries``.  Every array is read-only.
+    from +0.  Only diagonal entries have more than one term: one per
+    number coefficient, in the order of ``number_entries``.  Every array
+    is read-only.
     """
 
-    h_entries: np.ndarray
-    g_entries: np.ndarray
+    number_entries: np.ndarray
+    pair_entries: np.ndarray
     block_sizes: np.ndarray
     amplitude: np.ndarray
     pair_start: int
@@ -269,31 +180,36 @@ class _Template:
     diagonal: np.ndarray
 
 
+def _pattern(gen: GeneratorK) -> tuple[tuple, tuple]:
+    """The ``_Template`` key: the flat nonzeros of K.number and of triu(K.pair_create)."""
+    number = np.flatnonzero(gen.number).tolist()
+    pair = np.flatnonzero(np.triu(gen.pair_create)).tolist()
+    return tuple(number), tuple(pair)
+
+
 @functools.cache
-def _template(
-    layout: ModeLayout, n_max: int, parity: tuple[int, ...], h_entries: tuple, g_entries: tuple
-) -> _Template:
-    """The ``_Template`` of one sector for coefficients at these flat indices of h, triu(g).
+def _template(layout: ModeLayout, n_max: int, parity: tuple[int, ...], pattern: tuple):
+    """The ``_Template`` of one sector for the coefficients at ``pattern`` (``_pattern``).
 
     Built at the first operator of each sector and pattern and kept for
     the life of the process: one per sector and pattern a process meets,
-    each about 40 bytes per nonzero of H.
+    each about 40 bytes per nonzero of K.
     """
     dim = _sector(layout, n_max, parity).size
-    amplitude, sizes, rows, cols = _coo_terms(layout, n_max, parity, h_entries, g_entries)
-    # A - mu I has a diagonal entry in every row, where H may have none:
-    # one zero term per row after H's terms.  ``_sum_by`` starts every sum
+    amplitude, sizes, rows, cols = _coo_terms(layout, n_max, parity, pattern)
+    # A - mu I has a diagonal entry in every row, where K may have none:
+    # one zero term per row after K's terms.  ``_sum_by`` starts every sum
     # from +0, so these terms keep only their slots, as ``diagonal``.
     rows = np.concatenate((rows, np.arange(dim)))
     cols = np.concatenate((cols, np.arange(dim)))
     keys, slots = _unique_slots(rows * dim + cols)
     n_terms = rows.size - dim
     template = _Template(
-        h_entries=np.array(h_entries, dtype=np.intp),
-        g_entries=np.array(g_entries, dtype=np.intp),
+        number_entries=np.array(pattern[0], dtype=np.intp),
+        pair_entries=np.array(pattern[1], dtype=np.intp),
         block_sizes=np.array(sizes, dtype=np.intp),
         amplitude=amplitude,
-        pair_start=sum(sizes[: len(h_entries)]),
+        pair_start=sum(sizes[: len(pattern[0])]),
         slots=slots[:n_terms],
         rows=keys // dim,
         cols=keys % dim,
@@ -305,13 +221,11 @@ def _template(
     return template
 
 
-def _coo_terms(
-    layout: ModeLayout, n_max: int, parity: tuple[int, ...], h_entries: tuple, g_entries: tuple
-):
-    """Amplitudes, block sizes and the row and column of each term of H on a sector.
+def _coo_terms(layout: ModeLayout, n_max: int, parity: tuple[int, ...], pattern: tuple):
+    """Amplitudes, block sizes and the row and column of each term of K on a sector.
 
     Rows and columns are sector indices.  The terms are in COO order, the
-    order in which ``fock._sum_by`` adds them: one block per h
+    order in which ``fock._sum_by`` adds them: one block per number
     coefficient, one pair-creation block per pair coefficient, then the
     transposes of the pair-creation blocks, the pair-annihilation terms.
     """
@@ -321,13 +235,14 @@ def _coo_terms(
     # A pair creation stays in the sector only up to total n_max.
     pair_room = occ.sum(axis=0) + 2 <= n_max
     stride = _place_values(cutoff, modes)
+    number_entries, pair_entries = pattern
 
     def targets(src: np.ndarray, shift: int) -> np.ndarray:
         return np.searchsorted(sector, sector[src] + shift)
 
     # One (target rows, source columns, amplitudes) block per coefficient.
     blocks = []
-    for flat in h_entries:
+    for flat in number_entries:
         m, n = divmod(flat, modes)
         if m == n:
             src = np.flatnonzero(occ[n])
@@ -336,10 +251,10 @@ def _coo_terms(
             src = np.flatnonzero((occ[n] > 0) & (occ[m] < cutoff))
             amplitude = np.sqrt(occ[n, src] * (occ[m, src] + 1.0))
             blocks.append((targets(src, int(stride[m] - stride[n])), src, amplitude))
-    # (1/2) sum_pq g_pq adag_p adag_q collapses to g_pq per unordered pair
-    # (g symmetric) and g_pp / 2 on the diagonal; the Hermitian conjugate
-    # entries are the pair-annihilation block.
-    for flat in g_entries:
+    # (1/2) sum_pq C_pq adag_p adag_q collapses to C_pq per unordered pair
+    # (C symmetric) and C_pp / 2 on the diagonal; the pair-annihilation
+    # block, -(1/2) sum_pq conj(C_pq) a_p a_q, sits at the transposed entries.
+    for flat in pair_entries:
         p, q = divmod(flat, modes)
         if p == q:
             src = np.flatnonzero((occ[p] + 2 <= cutoff) & pair_room)
@@ -349,7 +264,7 @@ def _coo_terms(
             amplitude = np.sqrt((occ[p, src] + 1.0) * (occ[q, src] + 1.0))
         blocks.append((targets(src, int(stride[p] + stride[q])), src, amplitude))
     amplitude = np.concatenate([np.zeros(0), *(block[2] for block in blocks)])
-    pairs = blocks[len(h_entries) :]
+    pairs = blocks[len(number_entries) :]
     rows = np.concatenate([np.zeros(0, np.intp), *(b[0] for b in blocks), *(b[1] for b in pairs)])
     cols = np.concatenate([np.zeros(0, np.intp), *(b[1] for b in blocks), *(b[0] for b in pairs)])
     return amplitude, [block[1].size for block in blocks], rows, cols
@@ -357,7 +272,7 @@ def _coo_terms(
 
 @dataclass(frozen=True, eq=False)
 class _Operator:
-    """A = -iH on one sector, prepared once for every stencil on it.
+    """A = K on one sector, prepared once for every stencil on it.
 
     ``shifted`` holds the entries of A - mu I at (``rows``, ``cols``), the
     template's pattern with its zeros, where mu = tr(A) / n is the shift
@@ -379,11 +294,16 @@ _BUILD_LOCK = threading.Lock()
 
 
 def _prepared(
-    gen: GeneratorSpec, layout: ModeLayout, n_max: int, parity: tuple[int, ...]
+    gen: GeneratorK, layout: ModeLayout, n_max: int, parity: tuple[int, ...]
 ) -> _Operator:
-    """A - mu I on one sector, A = -iH, gathered once per generator and sector.
+    """A - mu I on one sector, A = K, gathered once per generator and sector.
 
-    The entries of the truncated P H P come from occupation arithmetic on
+    The operator is kept on ``gen``, keyed by (mode_count, cutoff, N_max,
+    parity classes), as ``build_generator`` keeps K on its model: every
+    oracle call of one command on one sector shares one build, and K's
+    arrays are read-only, so a kept operator cannot go stale.
+
+    The entries of the truncated P K P come from occupation arithmetic on
     the lexicographic ranks (``ModeLayout.ranks_of``): a hop from mode n
     to mode m moves the rank by stride[m] - stride[n], a pair creation on
     modes (p, q) by stride[p] + stride[q], and a ``searchsorted`` finds
@@ -391,37 +311,39 @@ def _prepared(
     drop.  That arithmetic depends only on the sector and on which
     coefficients are nonzero, so it is done once per sector and nonzero
     pattern (``_template``).  Each generator then costs one multiply of
-    its coefficients by the ladder amplitudes, one ``fock._sum_by`` of
-    each entry's terms in COO order and the product with -1j.  mu is the
-    mean of the diagonal, summed as numpy sums it; each 1-norm is the
-    largest column sum of absolute values, added in row order.  These are
-    the bits of a COO build whose duplicates are summed in COO order,
-    converted by scipy and shifted as ``expm_multiply`` shifts it, except
-    for the exact zeros that scipy's subtraction drops and the signs of
-    zeros (each sum starts from +0): the product adds each row's terms to
-    +0, so a +-0 term changes no bit.
+    its coefficients by the ladder amplitudes and one ``fock._sum_by`` of
+    each entry's terms in COO order.  mu is the mean of the diagonal,
+    summed as numpy sums it; each 1-norm is the largest column sum of
+    absolute values, added in row order.  These are the bits of a COO
+    build of H = iK whose duplicates are summed in COO order, converted by
+    scipy, multiplied by -1j and shifted as ``expm_multiply`` shifts it,
+    except for the exact zeros that scipy's subtraction drops and the
+    signs of zeros (each sum starts from +0): the product adds each row's
+    terms to +0, so a +-0 term changes no bit.
     """
     key = (layout.mode_count, layout.cutoff, n_max, parity)
-    cached = gen._operators.get(key)
+    cached = vars(gen).get("_operators", {}).get(key)
     if cached is None:
         with _BUILD_LOCK:
-            cached = gen._operators.get(key)
+            operators = vars(gen).setdefault("_operators", {})
+            cached = operators.get(key)
             if cached is None:
-                cached = gen._operators[key] = _build(gen, layout, n_max, parity)
+                cached = operators[key] = _build(gen, layout, n_max, parity)
     return cached
 
 
-def _build(gen: GeneratorSpec, layout: ModeLayout, n_max: int, parity: tuple[int, ...]):
+def _build(gen: GeneratorK, layout: ModeLayout, n_max: int, parity: tuple[int, ...]):
     """The ``_Operator`` of ``_prepared``."""
     if gen.mode_count != layout.mode_count:
         raise ValueError("generator and layout have different mode counts")
-    t = _template(layout, n_max, parity, *gen._pattern)
-    coefficients = np.concatenate((gen.h.take(t.h_entries), gen.g.take(t.g_entries)))
+    t = _template(layout, n_max, parity, _pattern(gen))
+    coefficients = np.concatenate(
+        (gen.number.take(t.number_entries), gen.pair_create.take(t.pair_entries))
+    )
     products = np.repeat(coefficients, t.block_sizes) * t.amplitude
-    terms = np.concatenate((products, np.conjugate(products[t.pair_start :])))
-    # -1j * 0j is +0j: the added diagonal zeros add nothing to the column
-    # sums of A.
-    union = _sum_by(t.slots, terms, t.rows.size) * -1j
+    terms = np.concatenate((products, -np.conjugate(products[t.pair_start :])))
+    # The added diagonal zeros are +0j and add nothing to the column sums.
+    union = _sum_by(t.slots, terms, t.rows.size)
     n = t.diagonal.size
     norm = float(np.bincount(t.cols, weights=np.abs(union), minlength=n).max())
     trace = np.zeros(n, dtype=np.complex128)
@@ -618,11 +540,11 @@ def _taylor_stencil(op: _Operator, v: np.ndarray, h: float, two_sided: bool) -> 
     return np.stack(minus + side(False))
 
 
-def _placed(gen: GeneratorSpec, state: StateVector):
-    """-iH on the state's sector, the sector, its shell mask and the state's vector there.
+def _placed(gen: GeneratorK, state: StateVector):
+    """K on the state's sector, the sector, its shell mask and the state's vector there.
 
-    The sector (``_sector_of``), -iH on it and its shell mask come from
-    their caches (the generator's operators, see ``GeneratorSpec``,
+    The sector (``_sector_of``), K on it and its shell mask come from
+    their caches (the generator's operators, see ``_prepared``,
     ``_sector`` and ``_shell_mask``), so this only places the state's
     amplitudes at their sector indices and holds them to the
     boundary-shell budget ``SHELL_BUDGET``.
@@ -642,8 +564,8 @@ def _stencil(op: _Operator, v0: np.ndarray, shell: np.ndarray, step: float, two_
 
     Returns a function whose first call runs one ``_taylor_stencil`` and
     holds its rows to the boundary-shell budget ``SHELL_BUDGET``; later
-    calls return the same array.  The span evaluated, 2h * ||H||_1 if
-    ``two_sided`` and h * ||H||_1 if not, is checked against
+    calls return the same array.  The span evaluated, 2h * ||K||_1 if
+    ``two_sided`` and h * ||K||_1 if not, is checked against
     ``SWEEP_NORM_BUDGET`` here, before any call.
     """
     h = abs(step)
@@ -696,7 +618,7 @@ def _richardson(coarse: float, fine: float, dtheta: float) -> FidelityEstimate:
 
 
 def qfi_fidelity_pure(
-    gen: GeneratorSpec,
+    gen: GeneratorK,
     state: StateVector,
     dtheta: float = DEFAULT_DTHETA_FIDELITY,
 ) -> FidelityEstimate:
@@ -758,7 +680,7 @@ def _psd_spectrum(eigs: np.ndarray, what: str) -> np.ndarray:
 
 
 def qfi_fidelity_mixed(
-    gen: GeneratorSpec,
+    gen: GeneratorK,
     state: StateVector,
     keep: ModeSubset,
     dtheta: float = DEFAULT_DTHETA_FIDELITY,
@@ -832,7 +754,7 @@ class DerivativeStates:
 
 
 def derivative_states(
-    gen: GeneratorSpec,
+    gen: GeneratorK,
     state: StateVector,
     dtheta: float = DEFAULT_DTHETA_FIRST,
     dtheta2: float = DEFAULT_DTHETA_SECOND,

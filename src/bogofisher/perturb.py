@@ -52,7 +52,11 @@ class GeneratorK:
 
     ``number[m, n]`` multiplies a_m^dag a_n, ``pair_create[p, q]`` is the
     symmetric coefficient C of (1/2) sum C_pq a_p^dag a_q^dag; the pair
-    annihilation block is fixed to -conj(C) by anti-Hermiticity.
+    annihilation block is fixed to -conj(C) by anti-Hermiticity.  The
+    first-order route applies K once (``apply_generator``); the oracle
+    propagates exp(theta K) and keeps the sparse operator of each sector
+    it meets on the instance (``oracle._prepared``).  Both blocks are
+    read-only copies made here, so nothing kept can go stale.
     """
 
     number: np.ndarray
@@ -61,6 +65,10 @@ class GeneratorK:
     def __post_init__(self) -> None:
         number = np.array(self.number, dtype=np.complex128)
         pair = np.array(self.pair_create, dtype=np.complex128)
+        if number.ndim != 2 or number.shape[0] != number.shape[1] or number.shape != pair.shape:
+            raise ValueError("number and pair_create must be square matrices of equal dimension")
+        if not (np.isfinite(number).all() and np.isfinite(pair).all()):
+            raise ValueError("number and pair_create must be finite")
         for arr in (number, pair):
             arr.flags.writeable = False
         object.__setattr__(self, "number", number)

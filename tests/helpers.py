@@ -30,7 +30,6 @@ import bogofisher
 from bogofisher import (
     BogoliubovFirstOrder,
     GeneratorK,
-    GeneratorSpec,
     ModeLayout,
     StateVector,
     oracle,
@@ -86,15 +85,16 @@ def dense_generator_matrix(gen: GeneratorK, layout: ModeLayout) -> np.ndarray:
     return K.toarray()
 
 
-def dense_hamiltonian_matrix(gen: GeneratorSpec, layout: ModeLayout) -> np.ndarray:
-    """Dense H from normal-ordered products of the truncated ladders (= P H P)."""
+def dense_hamiltonian_matrix(gen: GeneratorK, layout: ModeLayout) -> np.ndarray:
+    """Dense H = iK from normal-ordered products of the truncated ladders (= P H P)."""
     ladders = dense_ladders(layout.mode_count, layout.cutoff)
     dim = layout.basis_size
+    h, g = 1j * gen.number, 1j * gen.pair_create  # H = iK
     H = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
     for m in range(gen.mode_count):
         for n in range(gen.mode_count):
-            H += gen.h[m, n] * ladders[m].conj().T @ ladders[n]
-            create = 0.5 * gen.g[m, n] * ladders[m].conj().T @ ladders[n].conj().T
+            H += h[m, n] * ladders[m].conj().T @ ladders[n]
+            create = 0.5 * g[m, n] * ladders[m].conj().T @ ladders[n].conj().T
             H += create + create.conj().T
     return H.toarray()
 
@@ -105,12 +105,12 @@ def box_sector(layout: ModeLayout) -> tuple[int, tuple[int, ...]]:
 
 
 def coo_hamiltonian(
-    gen: GeneratorSpec, layout: ModeLayout, sector: tuple[int, tuple[int, ...]] | None = None
+    gen: GeneratorK, layout: ModeLayout, sector: tuple[int, tuple[int, ...]] | None = None
 ) -> types.SimpleNamespace:
-    """A = -iH on a sector, its shift and 1-norms by a COO build and scipy arithmetic.
+    """A = -iH = K on a sector, its shift and 1-norms by a COO build and scipy arithmetic.
 
     ``sector`` is an (N_max, parity classes) key of ``oracle._sector``, the
-    whole layout when omitted.  H is assembled term by term as COO on the
+    whole layout when omitted.  H = iK is assembled term by term as COO on the
     sector's indices, with the pair creations past N_max left out, and
     each entry's terms are added in COO order before scipy converts it to
     CSR; A is ``-1j * H``, mu comes from ``A.trace()``, A - mu I from a
@@ -126,12 +126,13 @@ def coo_hamiltonian(
     occ = layout.occupations_of(ranks).T
     pair_room = occ.sum(axis=0) + 2 <= n_max
     stride = _place_values(cutoff, layout.mode_count)
+    h, g = 1j * gen.number, 1j * gen.pair_create  # H = iK
 
     def index(src, shift):
         return np.searchsorted(ranks, ranks[src] + shift)
 
     rows, cols, vals = [], [], []
-    for m, n in zip(*np.nonzero(gen.h)):
+    for m, n in zip(*np.nonzero(h)):
         if m == n:
             src = np.flatnonzero(occ[n])
             rows.append(src)
@@ -141,8 +142,8 @@ def coo_hamiltonian(
             rows.append(index(src, stride[m] - stride[n]))
             amplitude = np.sqrt(occ[n, src] * (occ[m, src] + 1.0))
         cols.append(src)
-        vals.append(gen.h[m, n] * amplitude)
-    for p, q in zip(*np.nonzero(np.triu(gen.g))):
+        vals.append(h[m, n] * amplitude)
+    for p, q in zip(*np.nonzero(np.triu(g))):
         if p == q:
             src = np.flatnonzero((occ[p] + 2 <= cutoff) & pair_room)
             amplitude = 0.5 * np.sqrt((occ[p, src] + 1.0) * (occ[p, src] + 2.0))
@@ -150,7 +151,7 @@ def coo_hamiltonian(
             src = np.flatnonzero((occ[p] < cutoff) & (occ[q] < cutoff) & pair_room)
             amplitude = np.sqrt((occ[p, src] + 1.0) * (occ[q, src] + 1.0))
         target = index(src, stride[p] + stride[q])
-        value = gen.g[p, q] * amplitude
+        value = g[p, q] * amplitude
         rows += [target, src]
         cols += [src, target]
         vals += [value, value.conj()]
@@ -181,7 +182,7 @@ def coo_hamiltonian(
 
 
 def dense_propagator(
-    gen: GeneratorSpec,
+    gen: GeneratorK,
     theta: float,
     layout: ModeLayout,
     sector: tuple[int, tuple[int, ...]] | None = None,
@@ -190,13 +191,13 @@ def dense_propagator(
     return scipy.linalg.expm(theta * coo_hamiltonian(gen, layout, sector).matrix.toarray())
 
 
-def extract_bogoliubov(gen: GeneratorSpec, theta: float) -> tuple[np.ndarray, np.ndarray]:
+def extract_bogoliubov(gen: GeneratorK, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact alpha(theta), beta(theta) from the classical exponential.
 
     Exponentiates the 2M x 2M coefficient matrix of the Heisenberg mode
     equations, free of any Fock truncation.
     """
-    h, g = gen.h, gen.g
+    h, g = 1j * gen.number, 1j * gen.pair_create  # H = iK
     transfer = np.block([[-1j * h, -1j * g], [1j * g.conj(), 1j * h.conj()]])
     E = scipy.linalg.expm(theta * transfer)
     M = gen.mode_count
@@ -204,7 +205,7 @@ def extract_bogoliubov(gen: GeneratorSpec, theta: float) -> tuple[np.ndarray, np
 
 
 def extract_first_order(
-    gen: GeneratorSpec, dtheta: float = 1e-5, G: np.ndarray | None = None
+    gen: GeneratorK, dtheta: float = 1e-5, G: np.ndarray | None = None
 ) -> BogoliubovFirstOrder:
     """First-order coefficient model of U0 exp(-i theta H) by central differencing.
 
@@ -220,12 +221,13 @@ def extract_first_order(
     return BogoliubovFirstOrder(G, alpha1 * G, beta1 * G.conj())
 
 
-def random_generator(rng: np.random.Generator, modes: int, scale: float) -> GeneratorSpec:
+def random_generator(rng: np.random.Generator, modes: int, scale: float) -> GeneratorK:
+    """K = -iH for a random Hermitian h and symmetric g of entries about ``scale``."""
     h_raw = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
     g_raw = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
     h = scale * 0.5 * (h_raw + h_raw.conj().T)
     g = scale * 0.5 * (g_raw + g_raw.T)
-    return GeneratorSpec(h, g)
+    return GeneratorK(-1j * h, -1j * g)
 
 
 def random_model(rng: np.random.Generator, modes: int, scale: float = 0.4) -> BogoliubovFirstOrder:

@@ -332,17 +332,39 @@ def test_oracle_compare_refuses_an_estimate_lost_in_round_off(dtheta, tmp_path, 
     assert payload["agree"] is False
 
 
-def test_every_command_runs_a_model_with_free_evolution_phases(tmp_path, capsys):
-    # validate is the one gate: a model with G != 1 that it passes reaches
-    # every command, exact propagation included.
+def _phased_model():
     rng = np.random.default_rng(19)
     model = rephased(random_model(rng, 3), rng.uniform(0.0, 2.0 * np.pi, 3))
-    doc = write_json(tmp_path / "phased.json", bogofisher.serialize_model(model))
-    state = write_json(
-        tmp_path / "state.json",
-        [{"occ": [1, 1, 0], "re": 0.6}, {"occ": [0, 2, 0], "im": 0.8}],
-    )
-    support = write_json(tmp_path / "support.json", [[1, 0, 0], [1, 1, 0], [2, 0, 0], [0, 2, 0]])
+    return bogofisher.serialize_model(model)
+
+
+@pytest.mark.parametrize(
+    "model, state, support",
+    [
+        (
+            _phased_model(),
+            [{"occ": [1, 1, 0], "re": 0.6}, {"occ": [0, 2, 0], "im": 0.8}],
+            [[1, 0, 0], [1, 1, 0], [2, 0, 0], [0, 2, 0]],
+        ),
+        # A beam splitter whose alpha1 is anti-Hermitian only to 5e-11,
+        # within validate's tolerance of 1e-10.
+        (
+            {"modes": 2, "alpha1": [[0, 1, 1.0, 0.0], [1, 0, -0.99999999995, 0.0]]},
+            [{"occ": [1, 1], "re": 1.0}],
+            [[1, 0], [1, 1], [2, 0], [0, 2]],
+        ),
+    ],
+    ids=["phased", "alpha_residual_5e-11"],
+)
+def test_every_command_runs_a_model_with_free_evolution_phases(
+    model, state, support, tmp_path, capsys
+):
+    # validate is the one gate: a model that it passes, with G != 1 or with
+    # a residual within its tolerance, reaches every command, exact
+    # propagation included.
+    doc = write_json(tmp_path / "model.json", model)
+    state = write_json(tmp_path / "state.json", state)
+    support = write_json(tmp_path / "support.json", support)
     runs = [
         ["validate", doc],
         ["qfi", doc, "--state", state],
@@ -431,9 +453,12 @@ def test_nan_coefficients_fail_validation(where, tmp_path, capsys):
     assert report["passed"] is False
     assert report["violations"]
 
+    # Refused before the oracle is reached, too.
     for argv in (
         ["qfi", model, "--state", state],
         ["optimize", model, "--support", support, "--avg-n", "3", "--restarts", "1"],
+        ["scan", model, "--n", "0..1", "--pair-with", "1"],
+        ["oracle-compare", model, "--state", state],
     ):
         assert cli_main(argv) == 2
         captured = capsys.readouterr()
@@ -649,6 +674,8 @@ _SCAN_GRID = ["--n", "0..1", "--pair-with", "1", "--m", "0..1"]
         # Finite, but theta^2 * qfi overflows the validity ratio.
         (["scan", "M", *_SCAN_GRID, "--theta", "1e200"], 1, "ValueError"),
         (["qfi", "M", "--state", "S", "--theta", "1e200"], 1, "ValueError"),
+        # named evaluates the states at first order only: it takes no theta.
+        (["named", "M", "--n", "2", "--theta", "nan"], 1, "UsageError"),
     ],
 )
 def test_bad_step_or_theta_exits_with_one_error(

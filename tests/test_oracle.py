@@ -8,26 +8,24 @@ import numpy as np
 import pytest
 
 from bogofisher import (
+    BogoliubovFirstOrder,
     BudgetError,
-    GeneratorSpec,
+    GeneratorK,
     ModeLayout,
     ModeSubset,
     StateVector,
     beam_splitter,
-    beam_splitter_generator,
+    build_generator,
     coherent_state,
     derivative_states,
     generator_from_model,
-    independent_squeezers_generator,
     qfi_fidelity_mixed,
     qfi_fidelity_pure,
     qfi_pure,
     qfi_reduced,
     single_mode_squeezer,
-    squeezer_generator,
     transform_first_order,
     two_mode_squeezer,
-    two_mode_squeezer_generator,
     uhlmann_fidelity,
     validate,
 )
@@ -50,7 +48,7 @@ from helpers import (
 
 
 def test_exact_unitary_at_zero_is_identity():
-    gen = squeezer_generator(0, 1)
+    gen = build_generator(single_mode_squeezer(0, 1))
     layout = ModeLayout(1, 8)
     u = dense_propagator(gen, 0.0, layout)
     assert np.allclose(u, np.eye(layout.basis_size), atol=1e-14)
@@ -112,7 +110,13 @@ def _assert_matches_coo_reference(gen, layout, sector):
     """Every ``_Operator`` field equals the COO build byte for byte.
 
     The COO build's scipy subtraction drops exact zeros; the operator
-    keeps its pattern, so its nonzero entries are compared.
+    keeps its pattern, so its nonzero entries are compared.  The build
+    forms H = iK and then -1j * H, which gives the zero part of an entry
+    with a real or imaginary coefficient the sign -0 where the operator,
+    gathered from K, has +0.  Adding 0.0 makes every zero part +0 before
+    the bytes are compared: no product carries the sign of a zero part,
+    as ``oracle._product`` adds each row's terms to +0
+    (``test_stencil_on_real_coefficients_keeps_the_bits_of_expm_multiply``).
     """
     ref = coo_hamiltonian(gen, layout, sector)
     op = oracle._prepared(gen, layout, *sector)
@@ -123,7 +127,7 @@ def _assert_matches_coo_reference(gen, layout, sector):
     assert np.array_equal(op.rows[nonzero], want_rows)
     assert np.array_equal(op.cols[nonzero], want.indices)
     assert op.shifted.dtype == want.data.dtype
-    assert op.shifted[nonzero].tobytes() == want.data.tobytes()
+    assert (op.shifted[nonzero] + 0.0).tobytes() == (want.data + 0.0).tobytes()
     assert op.norm == ref.norm
     assert op.shifted_norm == ref.shifted_norm
     assert np.complex128(op.mu).tobytes() == np.complex128(ref.mu).tobytes()
@@ -139,13 +143,13 @@ def test_operator_matches_coo_build_bit_for_bit():
     layout = ModeLayout(3, 6)
     zero = np.zeros((3, 3))
     for gen in (
-        beam_splitter_generator(0, 1, 3),  # no diagonal, so mu = 0
-        squeezer_generator(1, 3),
-        two_mode_squeezer_generator(0, 2, 3),
-        GeneratorSpec(np.diag([0.3, -1.1, 0.0]), zero),  # diagonal only
+        build_generator(beam_splitter(0, 1, 3)),  # no diagonal, so mu = 0
+        build_generator(single_mode_squeezer(1, 3)),
+        build_generator(two_mode_squeezer(0, 2, 3)),
+        GeneratorK(np.diag([0.3j, -1.1j, 0.0]), zero),  # diagonal only
         # n0 - n1 cancels exactly where n0 = n1 >= 1: explicit zeros in A.
-        GeneratorSpec(np.diag([1.0, -1.0, 0.0]), zero),
-        GeneratorSpec(zero, zero),
+        GeneratorK(np.diag([1j, -1j, 0.0]), zero),
+        GeneratorK(zero, zero),
     ):
         for sector in (box_sector(layout), (8, (0,)), (7, (1,)), (5, (0, 1))):
             _assert_matches_coo_reference(gen, layout, sector)
@@ -161,27 +165,27 @@ def test_template_shared_per_layout_and_nonzero_pattern():
     after = oracle._template.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
     assert after.hits > before.hits
-    shared = oracle._template(layout, *sector, *first._pattern)
-    assert oracle._template(layout, *sector, *second._pattern) is shared
+    shared = oracle._template(layout, *sector, oracle._pattern(first))
+    assert oracle._template(layout, *sector, oracle._pattern(second)) is shared
     # A shared template cannot be changed through any of its arrays.
     for name, value in vars(shared).items():
         if isinstance(value, np.ndarray):
             assert not value.flags.writeable, name
     assert np.array_equal(shared.diagonal, np.flatnonzero(shared.rows == shared.cols))
-    # Exact zeros in h and g give a second pattern on the same sector.
-    h, g = first.h.copy(), first.g.copy()
-    h[0, 2] = h[2, 0] = h[1, 1] = 0.0
-    g[0, 1] = g[1, 0] = g[2, 2] = 0.0
-    sparse = GeneratorSpec(h, g)
+    # Exact zeros in K's blocks give a second pattern on the same sector.
+    number, pair = first.number.copy(), first.pair_create.copy()
+    number[0, 2] = number[2, 0] = number[1, 1] = 0.0
+    pair[0, 1] = pair[1, 0] = pair[2, 2] = 0.0
+    sparse = GeneratorK(number, pair)
     _assert_matches_coo_reference(sparse, layout, sector)
-    assert oracle._template(layout, *sector, *sparse._pattern) is not shared
+    assert oracle._template(layout, *sector, oracle._pattern(sparse)) is not shared
     assert oracle._template.cache_info().misses == before.misses + 1
     # Another sector of the same layout has its own template.
-    assert oracle._template(layout, 7, (1,), *first._pattern) is not shared
+    assert oracle._template(layout, 7, (1,), oracle._pattern(first)) is not shared
 
 
 def test_exact_unitary_group_property():
-    gen = two_mode_squeezer_generator(0, 1, 2)
+    gen = build_generator(two_mode_squeezer(0, 1, 2))
     layout = ModeLayout(2, 7)
     u1 = dense_propagator(gen, 0.07, layout)
     u2 = dense_propagator(gen, 0.05, layout)
@@ -190,7 +194,7 @@ def test_exact_unitary_group_property():
 
 
 def test_squeezed_vacuum_overlap():
-    gen = squeezer_generator(0, 1)
+    gen = build_generator(single_mode_squeezer(0, 1))
     layout = ModeLayout(1, 20)
     theta = 0.1
     op, _, shell, v0 = oracle._placed(gen, StateVector.vacuum(layout))
@@ -259,14 +263,14 @@ def test_single_parity_sector_sweeps_as_the_both_parity_sector():
 
 def test_sweep_refuses_a_nan_theta():
     state = StateVector.from_occupation(ModeLayout(2, 7), [1, 1])
-    op, _, shell, v0 = oracle._placed(two_mode_squeezer_generator(0, 1, 2), state)
+    op, _, shell, v0 = oracle._placed(build_generator(two_mode_squeezer(0, 1, 2)), state)
     for two_sided in (False, True):
         with pytest.raises(BudgetError, match="exceeds the budget"):
             oracle._stencil(op, v0, shell, math.nan, two_sided=two_sided)
 
 
 def test_qfi_fidelity_pure_negative_step():
-    gen = two_mode_squeezer_generator(0, 1, 2)
+    gen = build_generator(two_mode_squeezer(0, 1, 2))
     state = StateVector.from_occupation(ModeLayout(2, 9), [1, 1])
     backward = qfi_fidelity_pure(gen, state, dtheta=-1e-3)
     assert backward.value == pytest.approx(20.0, abs=1e-5)
@@ -279,14 +283,14 @@ def test_qfi_fidelity_pure_negative_step():
 
 
 def test_extract_bogoliubov_squeezer():
-    gen = squeezer_generator(0, 1)
+    gen = build_generator(single_mode_squeezer(0, 1))
     alpha, beta = extract_bogoliubov(gen, 0.3)
     assert alpha[0, 0] == pytest.approx(math.cosh(0.3))
     assert beta[0, 0] == pytest.approx(math.sinh(0.3))
 
 
 def test_extract_bogoliubov_two_mode():
-    gen = two_mode_squeezer_generator(0, 1, 2)
+    gen = build_generator(two_mode_squeezer(0, 1, 2))
     alpha, beta = extract_bogoliubov(gen, 0.2)
     assert alpha[0, 0] == pytest.approx(math.cosh(0.2))
     assert alpha[1, 1] == pytest.approx(math.cosh(0.2))
@@ -304,18 +308,6 @@ def test_extract_symplectic_relations():
         assert np.max(np.abs(alpha @ beta.T - (alpha @ beta.T).T)) < 1e-11
 
 
-def test_extract_first_order_matches_builtin_models():
-    pairs = [
-        (squeezer_generator(0, 2), single_mode_squeezer(0, 2)),
-        (two_mode_squeezer_generator(0, 1, 2), two_mode_squeezer(0, 1, 2)),
-        (beam_splitter_generator(0, 1, 2), beam_splitter(0, 1, 2)),
-    ]
-    for gen, model in pairs:
-        extracted = extract_first_order(gen)
-        assert np.max(np.abs(extracted.alpha1 - model.alpha1)) < 1e-8
-        assert np.max(np.abs(extracted.beta1 - model.beta1)) < 1e-8
-
-
 def test_extracted_models_validate():
     rng = np.random.default_rng(52)
     for _ in range(5):
@@ -324,8 +316,11 @@ def test_extracted_models_validate():
 
 
 def test_generator_from_model_roundtrip():
+    # The oracle propagates the first-order route's own K.
+    assert generator_from_model is build_generator
     for model in (
         single_mode_squeezer(0, 1),
+        single_mode_squeezer(0, 2),
         two_mode_squeezer(0, 1, 2),
         beam_splitter(0, 1, 2),
     ):
@@ -344,21 +339,21 @@ def test_generator_from_model_roundtrip():
 
 
 def test_qfi_fidelity_pure_zero_generator():
-    gen = GeneratorSpec(np.zeros((1, 1)), np.zeros((1, 1)))
+    gen = GeneratorK(np.zeros((1, 1)), np.zeros((1, 1)))
     est = qfi_fidelity_pure(gen, StateVector.vacuum(ModeLayout(1, 6)))
     assert est.value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_qfi_fidelity_pure_squeezer_vacuum():
     est = qfi_fidelity_pure(
-        squeezer_generator(0, 1), StateVector.vacuum(ModeLayout(1, 10))
+        build_generator(single_mode_squeezer(0, 1)), StateVector.vacuum(ModeLayout(1, 10))
     )
     assert est.value == pytest.approx(2.0, abs=1e-6)
 
 
 def test_qfi_fidelity_pure_two_mode_11():
     est = qfi_fidelity_pure(
-        two_mode_squeezer_generator(0, 1, 2),
+        build_generator(two_mode_squeezer(0, 1, 2)),
         StateVector.from_occupation(ModeLayout(2, 9), [1, 1]),
     )
     assert est.value == pytest.approx(20.0, abs=1e-5)
@@ -404,7 +399,7 @@ def test_fidelity_qfi_matches_first_order_on_rephased_models():
 
 
 def test_qfi_fidelity_mixed_keep_all_matches_pure():
-    gen = two_mode_squeezer_generator(0, 1, 2)
+    gen = build_generator(two_mode_squeezer(0, 1, 2))
     state = StateVector.from_occupation(ModeLayout(2, 9), [1, 1])
     pure = qfi_fidelity_pure(gen, state)
     mixed = qfi_fidelity_mixed(gen, state, ModeSubset.of([0, 1]))
@@ -412,7 +407,7 @@ def test_qfi_fidelity_mixed_keep_all_matches_pure():
 
 
 def test_qfi_fidelity_mixed_vacuum_two_mode_squeezer():
-    gen = two_mode_squeezer_generator(0, 1, 2)
+    gen = build_generator(two_mode_squeezer(0, 1, 2))
     vac = StateVector.vacuum(ModeLayout(2, 9))
     mixed = qfi_fidelity_mixed(gen, vac, ModeSubset.of([0]))
     # no loss at leading order: reduced equals the pure vacuum QFI of 4
@@ -420,7 +415,8 @@ def test_qfi_fidelity_mixed_vacuum_two_mode_squeezer():
 
 
 def test_qfi_fidelity_mixed_independent_squeezers():
-    gen = independent_squeezers_generator([1.0, 0.5])
+    squeezers = BogoliubovFirstOrder(np.ones(2), np.zeros((2, 2)), np.diag([1.0, 0.5]))
+    gen = build_generator(squeezers)
     vac = StateVector.vacuum(ModeLayout(2, 9))
     mixed = qfi_fidelity_mixed(gen, vac, ModeSubset.of([0]))
     assert mixed.value == pytest.approx(2.0, abs=1e-4)
@@ -438,7 +434,7 @@ def test_fidelity_mixed_below_pure():
 
 
 def test_derivative_states_zero_generator():
-    gen = GeneratorSpec(np.zeros((2, 2)), np.zeros((2, 2)))
+    gen = GeneratorK(np.zeros((2, 2)), np.zeros((2, 2)))
     state = StateVector.from_occupation(ModeLayout(2, 5), [1, 1])
     ders = derivative_states(gen, state)
     assert ders.psi1.norm() < 1e-12
@@ -447,7 +443,7 @@ def test_derivative_states_zero_generator():
 
 
 def test_derivative_states_squeezer_vacuum():
-    gen = squeezer_generator(0, 1)
+    gen = build_generator(single_mode_squeezer(0, 1))
     ders = derivative_states(gen, StateVector.vacuum(ModeLayout(1, 10)))
     expected = StateVector(ModeLayout(1, 10), {(2,): -1.0 / math.sqrt(2.0)})
     assert state_distance(ders.psi1, expected) < 1e-8
@@ -496,7 +492,7 @@ def test_coherent_state_refuses_oversize_dense_vector_before_building_it():
 
 
 def test_shell_budget_violation():
-    gen = squeezer_generator(0, 1)
+    gen = build_generator(single_mode_squeezer(0, 1))
     layout = ModeLayout(1, 4)
     # An input on the shell is refused before any stencil.
     with pytest.raises(BudgetError, match="raise the cutoff"):
@@ -509,27 +505,13 @@ def test_shell_budget_violation():
 
 
 def test_shell_coupling_small_with_headroom():
-    gen = squeezer_generator(0, 1)
+    gen = build_generator(single_mode_squeezer(0, 1))
     layout = ModeLayout(1, 14)
     u = dense_propagator(gen, 1e-3, layout)
     # Amplitude moved from interior states into the two boundary levels.
     shell = oracle._shell_mask(layout, *box_sector(layout))
     assert np.linalg.norm(u[np.ix_(shell, ~shell)], ord=2) < 0.05
     assert np.max(np.abs(np.linalg.norm(u, axis=0) - 1.0)) < 1e-12
-
-
-def test_generator_spec_validation():
-    with pytest.raises(ValueError):
-        GeneratorSpec(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        GeneratorSpec(np.zeros((2, 2)), np.array([[0.0, 1.0], [0.5, 0.0]]))
-    # Non-finite coefficients are refused, not built into a NaN operator.
-    with pytest.raises(ValueError, match="h block"):
-        GeneratorSpec(np.array([[math.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="g block"):
-        GeneratorSpec(np.zeros((2, 2)), np.array([[math.nan, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="h block"):
-        GeneratorSpec(np.array([[math.inf, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))
 
 
 def _stencil_reference(gen, state, keep_count, dtheta, dtheta2):
@@ -613,7 +595,7 @@ def test_derivative_states_corrections_built_once_on_read(monkeypatch):
         return real_reduced(*args)
 
     monkeypatch.setattr(oracle, "_reduced_dense", counting_reduced)
-    gen = two_mode_squeezer_generator(0, 1, 2)
+    gen = build_generator(two_mode_squeezer(0, 1, 2))
     state = StateVector.from_occupation(ModeLayout(2, 8), [1, 0])
     ders = derivative_states(gen, state, keep=ModeSubset.of([0]))
     assert calls["reduced"] == 0
@@ -625,7 +607,7 @@ def test_derivative_states_corrections_built_once_on_read(monkeypatch):
 
 
 def test_derivative_states_hermitian_check_runs_on_read(monkeypatch):
-    gen = two_mode_squeezer_generator(0, 1, 2)
+    gen = build_generator(two_mode_squeezer(0, 1, 2))
     state = StateVector.from_occupation(ModeLayout(2, 8), [1, 0])
     monkeypatch.setattr(oracle, "_hermitize", lambda matrix: matrix + 1j * np.eye(len(matrix)))
     ders = derivative_states(gen, state, keep=ModeSubset.of([0]))
@@ -648,7 +630,7 @@ def _count_evolutions(monkeypatch) -> list:
 
 def test_derivative_states_reading_rho2_alone_runs_one_stencil(monkeypatch):
     calls = _count_evolutions(monkeypatch)
-    gen = two_mode_squeezer_generator(0, 1, 2)
+    gen = build_generator(two_mode_squeezer(0, 1, 2))
     state = StateVector.from_occupation(ModeLayout(2, 8), [1, 0])
     ders = derivative_states(gen, state, dtheta=1e-4, dtheta2=1e-3, keep=ModeSubset.of([0]))
     assert calls == []
@@ -658,7 +640,7 @@ def test_derivative_states_reading_rho2_alone_runs_one_stencil(monkeypatch):
 
 def test_derivative_states_psi1_and_rho1_share_one_stencil(monkeypatch):
     calls = _count_evolutions(monkeypatch)
-    gen = two_mode_squeezer_generator(0, 1, 2)
+    gen = build_generator(two_mode_squeezer(0, 1, 2))
     state = StateVector.from_occupation(ModeLayout(2, 8), [1, 0])
     ders = derivative_states(gen, state, dtheta=1e-4, dtheta2=1e-3, keep=ModeSubset.of([0]))
     psi1 = ders.psi1
@@ -736,7 +718,7 @@ _STEP_CALLS = {
 @pytest.mark.parametrize("step", [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-200, 1e300])
 @pytest.mark.parametrize("call", sorted(_STEP_CALLS))
 def test_bad_steps_raise_value_error(call, step):
-    gen = two_mode_squeezer_generator(0, 1, 2)
+    gen = build_generator(two_mode_squeezer(0, 1, 2))
     state = StateVector.from_occupation(ModeLayout(2, 7), [1, 1])
     with pytest.raises(ValueError, match="dtheta"):
         _STEP_CALLS[call](gen, state, step)
@@ -746,7 +728,7 @@ def test_sweep_over_norm_budget_refused_before_expm_multiply(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the Taylor stencil ran on a refused step")
 
-    gen = two_mode_squeezer_generator(0, 1, 2)
+    gen = build_generator(two_mode_squeezer(0, 1, 2))
     state = StateVector.from_occupation(ModeLayout(2, 7), [1, 1])
     norm = oracle._prepared(gen, state.layout, *oracle._sector_of(state)).norm
     monkeypatch.setattr(oracle, "_taylor_stencil", refuse)
@@ -773,7 +755,7 @@ def test_operator_built_once_per_generator_and_truncation(monkeypatch):
         return builds[-1]
 
     monkeypatch.setattr(oracle, "_Operator", counting_operator)
-    gen = two_mode_squeezer_generator(0, 1, 2)
+    gen = build_generator(two_mode_squeezer(0, 1, 2))
     layout = ModeLayout(2, 7)
     state = StateVector.from_occupation(layout, [1, 1])
     first = qfi_fidelity_pure(gen, state)
@@ -785,7 +767,7 @@ def test_operator_built_once_per_generator_and_truncation(monkeypatch):
     assert sector == (8, (0,))
     assert builds == [oracle._prepared(gen, layout, *sector)]
     qfi_fidelity_pure(gen, StateVector.from_occupation(ModeLayout(2, 8), [1, 1]))
-    fresh = two_mode_squeezer_generator(0, 1, 2)
+    fresh = build_generator(two_mode_squeezer(0, 1, 2))
     assert qfi_fidelity_pure(fresh, state) == first
     # 1 + 3 + 5 + 7 + 7 states at cutoff 7; at cutoff 8, N_max = 9 holds no
     # even total, so it is 8 again: 1 + 3 + 5 + 7 + 9 states.
@@ -794,7 +776,7 @@ def test_operator_built_once_per_generator_and_truncation(monkeypatch):
 
 
 def test_generator_and_state_mode_counts_must_match():
-    gen = two_mode_squeezer_generator(0, 1, 2)
+    gen = build_generator(two_mode_squeezer(0, 1, 2))
     state = StateVector.from_occupation(ModeLayout(3, 5), [1, 1, 0])
     for evolve in (
         lambda: qfi_fidelity_pure(gen, state),
@@ -806,7 +788,7 @@ def test_generator_and_state_mode_counts_must_match():
 
 
 def test_kept_operator_norm_and_read_only_shell_mask():
-    gen = squeezer_generator(0, 1)
+    gen = build_generator(single_mode_squeezer(0, 1))
     layout = ModeLayout(1, 6)
     op = oracle._prepared(gen, layout, *box_sector(layout))
     assert oracle._prepared(gen, layout, *box_sector(layout)) is op

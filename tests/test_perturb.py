@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bogofisher import (
     BogoliubovFirstOrder,
     BudgetError,
+    GeneratorK,
     ModeLayout,
     StateVector,
     UnitarityError,
@@ -51,6 +52,23 @@ def test_generator_beam_splitter_shifts_one_excitation():
     out = apply_generator(gen, StateVector.from_occupation(ModeLayout(2, 3), [1, 0]))
     assert len(out) == 1
     assert abs(out.amplitude([0, 1])) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "number, pair, message",
+    [
+        # The oracle places K's coefficients by their flat indices in square blocks.
+        (np.zeros((2, 2)), np.zeros((3, 3)), "square matrices of equal dimension"),
+        (np.zeros((2, 3)), np.zeros((2, 3)), "square matrices of equal dimension"),
+        (0.0, 0.0, "square matrices of equal dimension"),
+        # A generator built from no model is refused, not propagated as NaN.
+        (np.diag([math.nan, 1.0]), np.zeros((2, 2)), "must be finite"),
+        (np.zeros((2, 2)), np.diag([0.0, math.inf]), "must be finite"),
+    ],
+)
+def test_generator_blocks_must_be_finite_square_and_equal(number, pair, message):
+    with pytest.raises(ValueError, match=message):
+        GeneratorK(number, pair)
 
 
 def test_generator_zero_model_gives_zero():

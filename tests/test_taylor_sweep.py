@@ -3,8 +3,8 @@
 ``oracle._taylor_stencil`` is the oracle's one evolution: exp(theta A) v
 at theta = h/2 and h, and for two-sided stencils also at -h and -h/2, on
 an operator prepared once on a sector of the basis and multiplied in
-numpy (``oracle._product``).  Given -iH on the same sector from the COO
-reference, up to t||A||_1 = 63.4 its + side must return the bits of
+numpy (``oracle._product``).  Given A = -iH = K on the same sector from
+the COO reference, up to t||A||_1 = 63.4 its + side must return the bits of
 ``expm_multiply`` over [0, h] at 3 points on A (the interval algorithm
 of Al-Mohy & Higham, 2011, algorithm 5.2, for one vector), and its
 - side those on -A; above that its Taylor step is chosen from ||A||_1
@@ -24,7 +24,16 @@ from scipy.sparse.linalg._expm_multiply import (
     _theta,
 )
 
-from bogofisher import GeneratorSpec, ModeLayout, StateVector, oracle
+from bogofisher import (
+    GeneratorK,
+    ModeLayout,
+    StateVector,
+    beam_splitter,
+    build_generator,
+    oracle,
+    single_mode_squeezer,
+    two_mode_squeezer,
+)
 
 from helpers import box_sector, coo_hamiltonian, random_generator
 
@@ -32,7 +41,7 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 
 def _operator_and_vector(seed: int, modes: int = 3, cutoff: int = 4, whole: bool = False):
-    """The oracle's operator, the COO reference's -iH and a random unit vector.
+    """The oracle's operator, the COO reference's A = -iH and a random unit vector.
 
     On the whole layout with ``whole``; otherwise the sector cycles with
     the seed through sectors of one parity and of both, with N_max at or
@@ -132,9 +141,29 @@ def test_descending_sweep_returns_the_ascending_rows_reversed():
         assert descending.tobytes() == ascending[::-1].tobytes()
 
 
+@pytest.mark.parametrize(
+    "model",
+    [single_mode_squeezer(1, 3), two_mode_squeezer(0, 2, 3), beam_splitter(0, 1, 3)],
+    ids=["squeezer", "two_mode_squeezer", "beam_splitter"],
+)
+def test_stencil_on_real_coefficients_keeps_the_bits_of_expm_multiply(model):
+    # The COO reference's -1j * (iK) gives zero parts the sign -0 where the
+    # operator gathered from K has +0; each row of a product is summed from
+    # +0, so the rows keep the bits all the same.
+    gen, layout = build_generator(model), ModeLayout(3, 5)
+    rng = np.random.default_rng(12)
+    for sector in (box_sector(layout), (8, (0,)), (7, (1,))):
+        op = oracle._prepared(gen, layout, *sector)
+        A = coo_hamiltonian(gen, layout, sector).matrix
+        dim = oracle._sector(layout, *sector).size
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for span_norm in (1e-3, 1.0, 40.0):
+            _assert_stencil_bits(op, A, v / np.linalg.norm(v), span_norm / op.shifted_norm)
+
+
 def test_zero_operator_sweep_keeps_the_vector():
     zero = np.zeros((2, 2))
-    gen, layout = GeneratorSpec(zero, zero), ModeLayout(2, 3)
+    gen, layout = GeneratorK(zero, zero), ModeLayout(2, 3)
     op = oracle._prepared(gen, layout, *box_sector(layout))
     A = coo_hamiltonian(gen, layout).matrix
     assert op.shifted_norm == 0.0

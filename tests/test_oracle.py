@@ -308,6 +308,29 @@ def test_extract_symplectic_relations():
         assert np.max(np.abs(alpha @ beta.T - (alpha @ beta.T).T)) < 1e-11
 
 
+def test_extract_first_order_matches_builtin_models():
+    # K = -iH of each builtin model, written out from its Hamiltonian.
+    zero = np.zeros((2, 2), dtype=np.complex128)
+    squeeze = zero.copy()  # H = i(a_0^2 - a_0^dag^2)/2
+    squeeze[0, 0] = -1.0
+    pair = zero.copy()  # H = i(a_0 a_1 - a_0^dag a_1^dag)
+    pair[0, 1] = pair[1, 0] = -1.0
+    hop = zero.copy()  # H = i(a_0^dag a_1 - a_0 a_1^dag)
+    hop[0, 1], hop[1, 0] = 1.0, -1.0
+    pairs = [
+        (GeneratorK(zero, squeeze), single_mode_squeezer(0, 2)),
+        (GeneratorK(zero, pair), two_mode_squeezer(0, 1, 2)),
+        (GeneratorK(hop, zero), beam_splitter(0, 1, 2)),
+    ]
+    for gen, model in pairs:
+        extracted = extract_first_order(gen)
+        assert np.max(np.abs(extracted.alpha1 - model.alpha1)) < 1e-8
+        assert np.max(np.abs(extracted.beta1 - model.beta1)) < 1e-8
+        built = build_generator(model)
+        assert np.array_equal(built.number, gen.number)
+        assert np.array_equal(built.pair_create, gen.pair_create)
+
+
 def test_extracted_models_validate():
     rng = np.random.default_rng(52)
     for _ in range(5):

@@ -62,7 +62,6 @@ from .qfi import (
     qfi_pure,
     qfi_pure_report,
     qfi_reduced,
-    qfi_two_mode_closed,
     tracing_loss,
     vacuum_loss_bound,
     vacuum_qfi,
@@ -113,7 +112,6 @@ __all__ = [
     "qfi_pure",
     "qfi_pure_report",
     "qfi_reduced",
-    "qfi_two_mode_closed",
     "rows_to_csv",
     "scan_fock",
     "serialize_model",

@@ -37,7 +37,6 @@ from .qfi import (
     overlap_penalty,
     qfi_fock_closed,
     qfi_pure,
-    qfi_two_mode_closed,
 )
 
 logger = logging.getLogger(__name__)
@@ -126,10 +125,7 @@ def scan_fock(
         if m is not None:
             occ[kprime] = m
         state = StateVector.from_occupation(layout, occ)
-        if m is None:
-            closed = qfi_fock_closed(model, n, k, theta=theta).qfi
-        else:
-            closed = qfi_two_mode_closed(model, n, k, m, kprime, theta=theta).qfi
+        closed = qfi_fock_closed(model, occ, theta=theta).qfi
         # One transform serves both the pure QFI and the tracing loss.
         pair, loss = _pair_and_loss(model, state, keep)
         perturb_value = qfi_pure(pair)

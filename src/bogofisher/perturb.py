@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import BogoliubovFirstOrder, ensure_validated
-from .errors import BudgetError, UnitarityError
+from .errors import BudgetError
 from .fock import (
     ModeLayout,
     StateVector,
@@ -42,8 +42,6 @@ from .fock import (
 
 VALIDITY_THRESHOLD = 0.01
 CUTOFF_HEADROOM = 2
-
-_ANTIHERM_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,12 +76,6 @@ class GeneratorK:
     def mode_count(self) -> int:
         return int(self.number.shape[0])
 
-    def antihermiticity_residual(self) -> float:
-        """Coefficient-level residual of K^dag = -K (pair blocks exact by form)."""
-        num = float(np.max(np.abs(self.number + self.number.conj().T)))
-        sym = float(np.max(np.abs(self.pair_create - self.pair_create.T)))
-        return max(num, sym)
-
 
 @dataclass(frozen=True, eq=False)
 class FirstOrderPair:
@@ -100,7 +92,7 @@ class FirstOrderPair:
 
 
 def build_generator(model: BogoliubovFirstOrder) -> GeneratorK:
-    """Construct K from a validated model; asserts anti-Hermiticity.
+    """Construct K from a model; ``validate`` is the only check it runs.
 
     K is kept on the model instance, so it is built once however many
     transforms use it (and ``ensure_validated`` validates an instance
@@ -117,11 +109,6 @@ def build_generator(model: BogoliubovFirstOrder) -> GeneratorK:
     raw = -(G.conj()[None, :] * model.beta1.conj())
     pair_create = 0.5 * (raw + raw.T)
     gen = GeneratorK(number, pair_create)
-    if gen.antihermiticity_residual() > _ANTIHERM_TOL:
-        raise UnitarityError(
-            "constructed generator is not anti-Hermitian; "
-            "first-order data mixes incompatible sign conventions"
-        )
     object.__setattr__(model, "_generator", gen)
     return gen
 

@@ -9,14 +9,16 @@ and restricting measurements to a mode subset k removes the tracing loss
     Delta_tr = 4 sum_{i != 0} |<psi0_k| <i_notk| psi1>|^2,
 
 where i runs over the non-vacuum occupation basis of the traced modes.
-Closed forms for Fock-state inputs and the vacuum lower bound on the
-tracing loss are provided alongside the general projections.
+One closed form covers every product Fock input |n> = (x)_k |n_k>
+(``qfi_fock_closed``); it and the vacuum lower bound on the tracing loss
+are provided alongside the general projections.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +30,6 @@ from .fock import (
     ModeSubset,
     StateVector,
     _abs2,
-    _check_mode,
-    _check_mode_pair,
     _cmul,
     _lookup,
     _sum_by,
@@ -198,61 +198,36 @@ def vacuum_qfi(model: BogoliubovFirstOrder) -> float:
 
 def qfi_fock_closed(
     model: BogoliubovFirstOrder,
-    n: int,
-    k: int,
+    occ: Sequence[int] | np.ndarray,
     theta: float = DEFAULT_THETA,
 ) -> QfiReport:
-    """Closed form for a single-mode Fock input |n_k>.
+    """Closed form for any product Fock input |n> = (x)_k |n_k>.
 
-    Terms: 2n(n+1)|beta1_kk|^2 from the diagonal squeezing, a single
-    excitation-exchange sum 4n sum_{p != k}(|alpha1_pk|^2 + |beta1_pk|^2),
-    and the vacuum contribution common to every input.
+    With W = |alpha1|^2 + |beta1|^2 elementwise and its diagonal zeroed,
+
+        F = 2 sum_pq |beta1_pq|^2 + 2 sum_k n_k(n_k+1)|beta1_kk|^2
+          + 4 sum_k n_k sum_p W_pk + 4 n^T W n:
+
+    the vacuum contribution common to every input, the diagonal
+    squeezing, the single-excitation exchange and the cross-mode term.
+    The diagonal alpha terms cancel against the projection penalty and do
+    not appear.  Occupations are read as floats, so no product overflows.
     """
-    if n < 0:
-        raise ValueError("occupation must be non-negative")
-    _check_mode(model.mode_count, k)
-    beta = model.beta1
-    alpha = model.alpha1
-    diag = 2.0 * n * (n + 1) * abs(beta[k, k]) ** 2
-    single = 4.0 * n * _column_weight(alpha, beta, k, exclude=(k,))
-    terms = [
-        ("diagonal_squeezing", diag),
-        ("single_excitation", single),
-        ("vacuum", vacuum_qfi(model)),
-    ]
-    return _report(terms, theta)
-
-
-def qfi_two_mode_closed(
-    model: BogoliubovFirstOrder,
-    n: int,
-    k: int,
-    m: int,
-    kprime: int,
-    theta: float = DEFAULT_THETA,
-) -> QfiReport:
-    """Closed form for a two-mode Fock input |n_k>|m_k'>.
-
-    Includes the 8mn cross term, both diagonal squeezing terms, both
-    single-excitation sums, and the vacuum contribution.  The diagonal
-    alpha terms cancel against the projection penalty and do not appear.
-    """
-    if n < 0 or m < 0:
+    n = np.asarray(occ, dtype=float)
+    if n.shape != (model.mode_count,):
+        raise ValueError(f"expected {model.mode_count} occupations, got shape {n.shape}")
+    if not (n >= 0.0).all():
         raise ValueError("occupations must be non-negative")
-    _check_mode_pair(model.mode_count, k, kprime)
-    beta = model.beta1
-    alpha = model.alpha1
-    cross = 8.0 * m * n * (abs(alpha[k, kprime]) ** 2 + abs(beta[k, kprime]) ** 2)
+    # np.hypot rounds as abs() of a scalar complex does; np.abs on an array
+    # may differ in the last bit, which can move a printed scan digit.
+    squeezing = np.hypot(model.beta1.real, model.beta1.imag) ** 2
+    weight = np.hypot(model.alpha1.real, model.alpha1.imag) ** 2 + squeezing
+    np.fill_diagonal(weight, 0.0)
     terms = [
-        ("diagonal_squeezing_k", 2.0 * n * (n + 1) * abs(beta[k, k]) ** 2),
-        ("diagonal_squeezing_kprime", 2.0 * m * (m + 1) * abs(beta[kprime, kprime]) ** 2),
-        ("cross_mode", cross),
-        ("single_excitation_k", 4.0 * n * _column_weight(alpha, beta, k, exclude=(k,))),
-        (
-            "single_excitation_kprime",
-            4.0 * m * _column_weight(alpha, beta, kprime, exclude=(kprime,)),
-        ),
         ("vacuum", vacuum_qfi(model)),
+        ("diagonal_squeezing", 2.0 * float(n * (n + 1.0) @ squeezing.diagonal())),
+        ("single_excitation", 4.0 * float(n @ weight.sum(axis=0))),
+        ("cross_mode", 4.0 * float(n @ weight @ n)),
     ]
     return _report(terms, theta)
 
@@ -279,17 +254,6 @@ def qfi_mixed_matrix_element(rho2: DensityOperator, psi0_k: StateVector) -> floa
     if imag > _IMAG_WARN:
         logger.warning("dropping small imaginary part %.3e of QFI matrix element", imag)
     return -4.0 * value.real
-
-
-def _column_weight(
-    alpha: np.ndarray, beta: np.ndarray, k: int, exclude: tuple[int, ...]
-) -> float:
-    total = 0.0
-    for p in range(alpha.shape[0]):
-        if p in exclude:
-            continue
-        total += abs(alpha[p, k]) ** 2 + abs(beta[p, k]) ** 2
-    return total
 
 
 def _clamp_nonnegative(value: float) -> float:

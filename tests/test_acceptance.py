@@ -24,10 +24,10 @@ from bogofisher import (
     optimize_state,
     qfi_fidelity_mixed,
     qfi_fidelity_pure,
+    qfi_fock_closed,
     qfi_mixed_matrix_element,
     qfi_pure,
     qfi_reduced,
-    qfi_two_mode_closed,
     scan_fock,
     single_mode_squeezer,
     tracing_loss,
@@ -127,10 +127,8 @@ def test_criterion_03_two_mode_squeezer_diagonal():
         checks.append(
             (abs(row.qfi_oracle - want) <= 1e-5, f"oracle off at n={row.n}")
         )
-    from bogofisher import qfi_two_mode_closed
-
     for n in range(0, 5):
-        report = qfi_two_mode_closed(model, n, 0, n, 1)
+        report = qfi_fock_closed(model, [n, n])
         terms = dict(report.breakdown)
         checks.append(
             (terms["vacuum"] == pytest.approx(4.0), f"vacuum term missing at n={n}")
@@ -353,7 +351,7 @@ def test_criterion_11_optimized_states_reach_heisenberg_scaling():
         result = optimize_state(model, support, float(nbar), restarts=2)
         best.append(result.qfi)
         product = max(
-            qfi_two_mode_closed(model, a, 0, nbar - a, 1).qfi for a in range(nbar + 1)
+            qfi_fock_closed(model, [a, nbar - a]).qfi for a in range(nbar + 1)
         )
         checks.append(
             (

@@ -241,7 +241,7 @@ def test_qfi_at_occupations_past_int64_products(squeezer_doc, tmp_path, capsys):
     assert cli_main(["qfi", squeezer_doc, "--state", state]) == 0
     with open(squeezer_doc, encoding="utf-8") as handle:
         model = bogofisher.load_model(json.load(handle))
-    closed = bogofisher.qfi_fock_closed(model, n, 0)
+    closed = bogofisher.qfi_fock_closed(model, [n])
     assert json.loads(capsys.readouterr().out)["qfi"] == pytest.approx(closed.qfi, rel=1e-12)
 
 
@@ -353,8 +353,19 @@ def _phased_model():
             [{"occ": [1, 1], "re": 1.0}],
             [[1, 0], [1, 1], [2, 0], [0, 2]],
         ),
+        # Phased, with alpha_unitarity 9.99996e-11, just within the tolerance.
+        (
+            {
+                "modes": 2,
+                "G": [[0.9689124217106447, 0.24740395925452294],
+                      [0.3122979603279158, -0.9499842019607608]],
+                "alpha1": [[0, 1, 2.8, 2.1], [1, 0, 0.2653604256030273, 3.4899260513479766]],
+            },
+            [{"occ": [1, 1], "re": 1.0}],
+            [[1, 0], [1, 1], [2, 0], [0, 2]],
+        ),
     ],
-    ids=["phased", "alpha_residual_5e-11"],
+    ids=["phased", "alpha_residual_5e-11", "alpha_residual_at_tolerance"],
 )
 def test_every_command_runs_a_model_with_free_evolution_phases(
     model, state, support, tmp_path, capsys

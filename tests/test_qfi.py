@@ -21,7 +21,6 @@ from bogofisher import (
     qfi_pure,
     qfi_pure_report,
     qfi_reduced,
-    qfi_two_mode_closed,
     single_mode_squeezer,
     tracing_loss,
     transform_first_order,
@@ -208,48 +207,49 @@ def test_superposition_penalty_under_beam_splitter():
 
 def test_qfi_fock_closed_examples():
     sms = single_mode_squeezer(0, 1)
-    report = qfi_fock_closed(sms, 3, 0)
+    report = qfi_fock_closed(sms, [3])
     assert report.qfi == pytest.approx(26.0)
     terms = dict(report.breakdown)
     assert terms["diagonal_squeezing"] == pytest.approx(24.0)
     assert terms["vacuum"] == pytest.approx(2.0)
 
     null = BogoliubovFirstOrder(np.ones(2), np.zeros((2, 2)), np.zeros((2, 2)))
-    assert qfi_fock_closed(null, 5, 0).qfi == 0.0
+    assert qfi_fock_closed(null, [5, 0]).qfi == 0.0
+    for occ in ([3, 0], [-1]):
+        with pytest.raises(ValueError):
+            qfi_fock_closed(sms, occ)
 
     tms = two_mode_squeezer(0, 1, 2)
-    report = qfi_two_mode_closed(tms, 2, 0, 0, 1)
+    report = qfi_fock_closed(tms, [2, 0])
     assert report.qfi == pytest.approx(12.0)
 
 
 def test_qfi_two_mode_closed_examples():
     tms = two_mode_squeezer(0, 1, 2)
     for n in range(0, 4):
-        report = qfi_two_mode_closed(tms, n, 0, n, 1)
+        report = qfi_fock_closed(tms, [n, n])
         assert report.qfi == pytest.approx(8 * n * (n + 1) + 4)
         assert dict(report.breakdown)["vacuum"] == pytest.approx(4.0)
     bs = beam_splitter(0, 1, 2)
     for n in range(0, 4):
         for m in range(0, 4):
-            report = qfi_two_mode_closed(bs, n, 0, m, 1)
+            report = qfi_fock_closed(bs, [n, m])
             assert report.qfi == pytest.approx(8 * n * m + 4 * n + 4 * m)
-    assert qfi_two_mode_closed(tms, 0, 0, 0, 1).qfi == pytest.approx(4.0)
+    assert qfi_fock_closed(tms, [0, 0]).qfi == pytest.approx(4.0)
 
 
 def test_closed_forms_match_general_route():
+    # Random product Fock states |n> of 1-6 modes, on phased models half the time.
     rng = np.random.default_rng(45)
-    layout = ModeLayout(3, 9)
-    for _ in range(4):
-        model = rephased(random_model(rng, 3), rng.uniform(-np.pi, np.pi, 3))
-        for n in (0, 1, 3):
-            closed = qfi_fock_closed(model, n, 1).qfi
-            occ = [0, n, 0]
-            general = qfi_pure(_pair(model, layout, occ))
-            assert closed == pytest.approx(general, abs=1e-10 * max(1, closed))
-        for n, m in ((1, 2), (3, 0), (2, 2)):
-            closed = qfi_two_mode_closed(model, n, 0, m, 2).qfi
-            general = qfi_pure(_pair(model, layout, [n, 0, m]))
-            assert closed == pytest.approx(general, abs=1e-10 * max(1, closed))
+    for draw in range(240):
+        modes = int(rng.integers(1, 7))
+        model = random_model(rng, modes, scale=float(rng.uniform(0.01, 2.0)))
+        if draw % 2:
+            model = rephased(model, rng.uniform(-np.pi, np.pi, modes))
+        occ = rng.integers(0, 6, size=modes)
+        closed = qfi_fock_closed(model, occ).qfi
+        general = qfi_pure(_pair(model, ModeLayout(modes, 7), occ.tolist()))
+        assert abs(closed - general) <= 1e-12 * general, (modes, occ)
 
 
 def test_mixed_matrix_element_keep_all_equals_pure():
